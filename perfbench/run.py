@@ -7,11 +7,11 @@ Run from the repository root:
 
 The driver is configured and built under .bench_build/perfbench on first use
 (an optimized build of src/ plus perfbench.cpp); later runs only check that
-the build is up to date. Build output goes to standard error. The last line
-of standard output is the driver's JSON result. See perfbench/README.md.
+the build is up to date. The arguments go to the driver unchanged, and it
+checks them. Build output goes to standard error. The last line of standard
+output is the driver's JSON result. See perfbench/README.md.
 """
 
-import argparse
 import os
 import subprocess
 import sys
@@ -19,7 +19,6 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(ROOT, ".bench_build", "perfbench")
-WORKLOADS = ("ring", "batches", "tickets")
 
 
 def build():
@@ -37,23 +36,11 @@ def build():
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
-    ap.add_argument("--seed", required=True, type=int)
-    ap.add_argument("--seconds", required=True, type=int)
-    ap.add_argument("--trace", required=True, type=int, choices=(0, 1))
-    args = ap.parse_args()
-    if args.seed < 0 or args.seconds < 1:
-        ap.error("--seed must be >= 0 and --seconds >= 1")
     try:
         exe = build()
     except subprocess.CalledProcessError as e:
         sys.exit(f"perfbench: build failed: {e}")
-    run = subprocess.run([exe, "--workload", args.workload,
-                          "--seed", str(args.seed),
-                          "--seconds", str(args.seconds),
-                          "--trace", str(args.trace)])
-    return run.returncode
+    return subprocess.run([exe] + sys.argv[1:]).returncode
 
 
 if __name__ == "__main__":

@@ -3,20 +3,18 @@
 
 Run from the repository root:
 
-    python3 perfbench/steadiness.py                  # 2 seeds x 2 sets x 10 runs
-    python3 perfbench/steadiness.py --seeds 1 --sets 1 --runs 5 --workloads batches
+    python3 perfbench/steadiness.py
 
-For each starting seed and each set, every workload runs --runs times with
-seeds start, start+1, ... (the untraced command, one --seconds each). For
-every workload x end-to-end metric it prints each set's median, its IQR
-(the distance between the first and third quartile of the runs) and its
-spread (the IQR as a share of the median). A metric passes when each set's spread is within
-the bound BENCHMARK.json gives it (setup_s is exempt from this) and the
-second set's median is not worse than the first's by more than the bound.
-The exit code is 1 if any metric fails.
+For each starting seed (1 and 1001) and each of two sets, every workload in
+BENCHMARK.json runs ten times with seeds start, start+1, ... (the untraced
+command, run_seconds each). For every workload x end-to-end metric it prints
+each set's median, its IQR (the distance between the first and third
+quartile of the runs), its spread (the IQR as a share of the median) and the
+drift (the distance between the two sets' medians as a share of the first).
+A metric passes when both spreads and the drift are within the bound
+BENCHMARK.json gives it. The exit code is 1 if any metric fails.
 """
 
-import argparse
 import json
 import os
 import statistics
@@ -25,11 +23,15 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+SEEDS = (1, 1001)
+SETS = 2
+RUNS = 10
 
 
-def run_once(spec, workload, seed, seconds):
+def run_once(spec, workload, seed):
     cmd = spec["command"] + ["--workload", workload, "--seed", str(seed),
-                             "--seconds", str(seconds), "--trace", "0"]
+                             "--seconds", str(spec["run_seconds"]),
+                             "--trace", "0"]
     out = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE,
                          stderr=subprocess.DEVNULL, text=True, check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
@@ -46,33 +48,20 @@ def spread(values):
 def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    names = [w["name"] for w in spec["workloads"]]
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workloads", default=",".join(names))
-    ap.add_argument("--seeds", default="1,1001",
-                    help="comma list of starting seeds")
-    ap.add_argument("--sets", type=int, default=2, choices=(1, 2))
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    args = ap.parse_args()
-    if args.runs < 2:
-        ap.error("--runs must be at least 2")
-
     metrics = spec["end_to_end"]
     ok = True
-    for start in (int(s) for s in args.seeds.split(",")):
-        print(f"== starting seed {start}: {args.sets} set(s) of {args.runs} "
-              f"runs x {args.seconds} s")
+    for start in SEEDS:
+        print(f"== starting seed {start}: {SETS} sets of {RUNS} runs x "
+              f"{spec['run_seconds']} s")
         print(f"{'workload':9} {'metric':14} {'bound':>6} "
               + "".join(f"{'median' + str(s + 1):>13} {'iqr' + str(s + 1):>11}"
-                        f" {'spread' + str(s + 1):>8}"
-                        for s in range(args.sets))
+                        f" {'spread' + str(s + 1):>8}" for s in range(SETS))
               + f" {'drift':>7}  verdict")
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in spec["workloads"]):
             sets = []
-            for _ in range(args.sets):
-                runs = [run_once(spec, workload, start + i, args.seconds)
-                        for i in range(args.runs)]
+            for _ in range(SETS):
+                runs = [run_once(spec, workload, start + i)
+                        for i in range(RUNS)]
                 sets.append({m["name"]: spread([r[m["name"]] for r in runs])
                              for m in metrics})
             for m in metrics:
@@ -81,23 +70,18 @@ def main():
                 for s in sets:
                     sp, med, iqr = s[name]
                     cells += f" {med:13.6g} {iqr:11.4g} {sp:8.4f}"
-                    if name != "setup_s" and sp > bound:
+                    if sp > bound:
                         verdict = "SPREAD"
-                    elif (name != "setup_s" and sp > bound / 3
-                          and verdict == "ok"):
+                    elif sp > bound / 3 and verdict == "ok":
                         verdict = "ok (spread > bound/3)"
-                drift = ""
-                if len(sets) == 2:
-                    m1, m2 = sets[0][name][1], sets[1][name][1]
-                    worse = (m2 - m1) / m1 if m["better"] == "lower" \
-                        else (m1 - m2) / m1
-                    drift = f"{worse:+7.4f}"
-                    if worse > bound:
-                        verdict = "DRIFT"
+                m1, m2 = sets[0][name][1], sets[1][name][1]
+                drift = abs(m2 - m1) / m1
+                if drift > bound:
+                    verdict = "DRIFT"
                 if verdict in ("SPREAD", "DRIFT"):
                     ok = False
                 print(f"{workload:9} {name:14} {bound:6.3f}{cells} "
-                      f"{drift:>7}  {verdict}", flush=True)
+                      f"{drift:7.4f}  {verdict}", flush=True)
     return 0 if ok else 1
 
 
