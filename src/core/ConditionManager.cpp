@@ -29,16 +29,6 @@ const char *autosynch::signalPolicyName(SignalPolicy P) {
   AUTOSYNCH_UNREACHABLE("invalid SignalPolicy");
 }
 
-const char *autosynch::relayFilterName(RelayFilter F) {
-  switch (F) {
-  case RelayFilter::Always:
-    return "always";
-  case RelayFilter::DirtySet:
-    return "dirty";
-  }
-  AUTOSYNCH_UNREACHABLE("invalid RelayFilter");
-}
-
 ConditionManager::ConditionManager(sync::Mutex &MonitorLock,
                                    ExprArena &Arena, SymbolTable &Syms,
                                    const Env &SharedEnv,
@@ -89,14 +79,6 @@ void ConditionManager::flushRelayCounters() {
 // Predicate evaluation
 //===----------------------------------------------------------------------===//
 
-bool ConditionManager::evalRecord(Record *R) const {
-  // Slot programs read the monitor's shared state straight out of the
-  // backing array — no virtual Env dispatch on the relay hot path.
-  if (R->Code.valid())
-    return R->Code.runRawBool(Slots.data(), nullptr);
-  return evalBool(R->Canonical, SharedEnv);
-}
-
 uint64_t ConditionManager::readSetVersion(const VarSet &S) const {
   if (S.universal())
     return GlobalVersion;
@@ -110,9 +92,6 @@ uint64_t ConditionManager::readSetVersion(const VarSet &S) const {
 }
 
 bool ConditionManager::recordTrue(Record *R) {
-  if (Cfg.Filter != RelayFilter::DirtySet)
-    return evalRecord(R);
-
   // Predicates are pure functions of the shared slots, so an unchanged
   // read-set version means an unchanged truth value: a current false-stamp
   // answers without touching the bytecode.
@@ -121,7 +100,9 @@ bool ConditionManager::recordTrue(Record *R) {
     ++Stats.StampShortCircuits;
     return false;
   }
-  bool True = evalRecord(R);
+  // The slot program reads the monitor's shared state straight out of the
+  // backing array — no virtual Env dispatch on the relay hot path.
+  bool True = R->Code.runRawBool(Slots.data(), nullptr);
   R->StampValid = !True;
   R->FalseVersion = Ver;
   return True;
@@ -159,13 +140,12 @@ ConditionManager::lookupOrRegister(ExprRef Canonical, Dnf D) {
   } else {
     R->Cond = MonitorLock.newCondition();
   }
-  if (Cfg.UseCompiledEval)
-    R->Code = CompiledPredicate::compile(
-        Canonical, [this](VarId V) -> ResolvedVar {
-          AUTOSYNCH_CHECK(Syms.isShared(V),
-                          "registered predicate mentions a local");
-          return {ResolvedVar::Kind::Shared, V};
-        });
+  R->Code = CompiledPredicate::compile(
+      Canonical, [this](VarId V) -> ResolvedVar {
+        AUTOSYNCH_CHECK(Syms.isShared(V),
+                        "registered predicate mentions a local");
+        return {ResolvedVar::Kind::Shared, V};
+      });
   Record *Raw = R.get();
   Table.emplace(Canonical, std::move(R));
   // Newly registered predicates start parked; activate() revives them when
@@ -269,9 +249,9 @@ void ConditionManager::registerPredicate(ExprRef Pred) {
 //===----------------------------------------------------------------------===//
 
 ConditionManager::Record *
-ConditionManager::linearScanFindTrue(const VarSet *Dirty) {
+ConditionManager::linearScanFindTrue(const VarSet &Dirty) {
   for (Record *R : ActiveList) {
-    if (Dirty && !Dirty->intersects(R->ReadSet)) {
+    if (!Dirty.intersects(R->ReadSet)) {
       ++Stats.Search.FilteredExprs;
       continue;
     }
@@ -289,7 +269,8 @@ ConditionManager::linearScanFindTrue(const VarSet *Dirty) {
   return nullptr;
 }
 
-ConditionManager::Record *ConditionManager::taggedFindTrue(const VarSet *Dirty) {
+ConditionManager::Record *
+ConditionManager::taggedFindTrue(const VarSet &Dirty) {
   return Index.findTrue(
       [&](ExprRef SharedExpr) { return eval(SharedExpr, SharedEnv).raw(); },
       [&](Record *R) {
@@ -302,7 +283,7 @@ ConditionManager::Record *ConditionManager::taggedFindTrue(const VarSet *Dirty) 
         ++Stats.Search.PredicateChecks;
         return recordTrue(R);
       },
-      &Stats.Search, Dirty);
+      &Stats.Search, &Dirty);
 }
 
 void ConditionManager::processExpiry() {
@@ -373,8 +354,7 @@ void ConditionManager::relaySignal(DeferredWake *Defer) {
     return;
   }
 
-  const bool Filtered = Cfg.Filter == RelayFilter::DirtySet;
-  if (Filtered && AccumDirty.empty()) {
+  if (AccumDirty.empty()) {
     // Nothing changed since the last empty-handed scan proved every
     // active predicate false — the read-only-exit fast path: no shared-
     // expression evaluation, no predicate check, no heap visit.
@@ -383,9 +363,9 @@ void ConditionManager::relaySignal(DeferredWake *Defer) {
     return;
   }
 
-  const VarSet *Dirty = Filtered ? &AccumDirty : nullptr;
-  Record *R = Cfg.Policy == SignalPolicy::Tagged ? taggedFindTrue(Dirty)
-                                                 : linearScanFindTrue(Dirty);
+  Record *R = Cfg.Policy == SignalPolicy::Tagged
+                  ? taggedFindTrue(AccumDirty)
+                  : linearScanFindTrue(AccumDirty);
   if (R) {
     // All bookkeeping happens here, under the lock, at pick time; only the
     // condvar notification itself may be deferred past the unlock. The
@@ -400,7 +380,7 @@ void ConditionManager::relaySignal(DeferredWake *Defer) {
     ++R->PendingSignals;
     ++PendingTotal;
     ++Stats.SignalsSent;
-  } else if (Filtered) {
+  } else {
     // Empty-handed scan: every active predicate is (re-)proven false
     // under the current state, so the accumulated dirt is discharged.
     AccumDirty.clear();

@@ -22,10 +22,10 @@
 /// falsified it re-runs the relay itself, preserving the invariance chain
 /// of Proposition 2.
 ///
-/// Dirty-set-directed relays (MonitorConfig::RelayFilter::DirtySet, the
-/// default): Monitor::writeSlot reports every value-changing shared write
-/// to noteWrite(), which accumulates the written VarIds in a dirty set and
-/// bumps a per-variable version counter. The invariant the filter rests on:
+/// Dirty-set-directed relays: Monitor::writeSlot reports every
+/// value-changing shared write to noteWrite(), which accumulates the
+/// written VarIds in a dirty set and bumps a per-variable version counter.
+/// The invariant the relay filter rests on:
 ///
 ///   every active (waiter-holding) predicate whose read set does not
 ///   intersect the accumulated dirty set is false.
@@ -250,11 +250,10 @@ public:
 
   /// Records that shared variable \p Id changed value: unions it into the
   /// relay dirty set and bumps its version counter. Called by
-  /// Monitor::writeSlot under the monitor lock; a no-op when the dirty-set
-  /// filter is off or the policy is Broadcast.
+  /// Monitor::writeSlot under the monitor lock; a no-op under the
+  /// Broadcast policy.
   void noteWrite(VarId Id) {
-    if (Cfg.Filter != RelayFilter::DirtySet ||
-        Cfg.Policy == SignalPolicy::Broadcast)
+    if (Cfg.Policy == SignalPolicy::Broadcast)
       return;
     ++GlobalVersion;
     if (Id >= SlotVersions.size())
@@ -391,21 +390,19 @@ private:
   void processExpiry();
 
   /// Full predicate check under the current shared state, answered by the
-  /// false-stamp when it is still current (DirtySet filter only).
+  /// false-stamp when it is still current.
   bool recordTrue(Record *R);
-
-  /// Runs the record's predicate (bytecode or tree walk), no stamping.
-  bool evalRecord(Record *R) const;
 
   /// Newest version among \p S's variables (the stamp domain).
   uint64_t readSetVersion(const VarSet &S) const;
 
   /// Relay search under the LinearScan policy: evaluate active predicates
   /// one by one, skipping those \p Dirty proves unchanged-false.
-  Record *linearScanFindTrue(const VarSet *Dirty);
+  Record *linearScanFindTrue(const VarSet &Dirty);
 
-  /// Relay search under the Tagged policy (TagIndex::findTrue).
-  Record *taggedFindTrue(const VarSet *Dirty);
+  /// Relay search under the Tagged policy (TagIndex::findTrue), restricted
+  /// to predicates whose read sets intersect \p Dirty.
+  Record *taggedFindTrue(const VarSet &Dirty);
 
   /// Folds the delta of the per-monitor relay stats since the last flush
   /// into the process-wide sync::RelayCounters. Called every few dozen

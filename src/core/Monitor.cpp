@@ -115,9 +115,6 @@ bool Monitor::awaitLegacy(ExprRef Pred, const Env &Locals,
 
 bool Monitor::dispatchWait(ExprRef Pred, const Env &Locals, bool Edsl,
                            ParseEntry *Entry, const TimedSpec &TS) {
-  if (!Cfg.UsePlanCache)
-    return awaitLegacy(Pred, Locals, TS);
-
   // Broadcast has no registered predicates, so plans cannot resolve waits
   // for it — but the allocation-free already-true precheck applies to any
   // policy. Blocking Broadcast waits fall through to the uncached

@@ -42,25 +42,8 @@ enum class SignalPolicy : uint8_t {
 /// Returns "tagged", "linear-scan", or "broadcast".
 const char *signalPolicyName(SignalPolicy P);
 
-/// How much of the registered-predicate table a relay scan visits.
-enum class RelayFilter : uint8_t {
-  Always,  ///< Every relay runs the full tag-index/linear search (the
-           ///< paper's behavior; kept for ablation).
-  DirtySet ///< Relay work is proportional to what changed: a region that
-           ///< wrote no shared variable skips the search outright, and a
-           ///< search only visits predicates whose read sets intersect
-           ///< the variables written since the last empty-handed scan.
-};
-
-/// Returns "always" or "dirty".
-const char *relayFilterName(RelayFilter F);
-
 struct MonitorConfig {
   SignalPolicy Policy = SignalPolicy::Tagged;
-
-  /// Dirty-set-directed relay signaling (default) vs. the always-scan
-  /// baseline. Only affects the relay policies; Broadcast ignores it.
-  RelayFilter Filter = RelayFilter::DirtySet;
 
   /// Lock/condvar backend for the monitor lock and all conditions.
   sync::Backend Backend = sync::Backend::Std;
@@ -68,22 +51,6 @@ struct MonitorConfig {
   /// Record per-phase CPU time (lock / await / relaySignal / tag manager)
   /// for the Table 1 experiment. Off by default: two clock reads per phase.
   bool EnablePhaseTimers = false;
-
-  /// Evaluate registered predicates with compiled bytecode instead of the
-  /// tree walker. On by default: slot programs read the monitor state as a
-  /// flat array (no virtual Env dispatch). Turn off for the tree-walk
-  /// ablation — together with UsePlanCache, whose fast-path check always
-  /// runs the plan's compiled program regardless of this flag.
-  bool UseCompiledEval = true;
-
-  /// Serve waituntil through the per-shape WaitPlan cache (src/plan/):
-  /// steady-state waits bind local values into a cached, pre-canonicalized
-  /// plan instead of re-running globalization -> canonicalization -> tag
-  /// derivation. Turn off for the uncached-pipeline ablation. Under the
-  /// Broadcast policy only the allocation-free already-true precheck runs
-  /// off the plan (it registers no predicates to resolve against); its
-  /// blocking waits and wakeup semantics are unchanged.
-  bool UsePlanCache = true;
 
   /// Registered predicates with no waiters are parked in an inactive cache
   /// for reuse (§5.2) instead of being destroyed; the oldest entries are

@@ -9,21 +9,7 @@
 
 #include "support/Check.h"
 
-#include <atomic>
-
 using namespace autosynch;
-
-namespace {
-std::atomic<RelayFilter> GDefaultFilter{RelayFilter::DirtySet};
-} // namespace
-
-RelayFilter autosynch::defaultRelayFilter() {
-  return GDefaultFilter.load(std::memory_order_relaxed);
-}
-
-void autosynch::setDefaultRelayFilter(RelayFilter F) {
-  GDefaultFilter.store(F, std::memory_order_relaxed);
-}
 
 const char *autosynch::mechanismName(Mechanism M) {
   switch (M) {
@@ -42,7 +28,6 @@ const char *autosynch::mechanismName(Mechanism M) {
 MonitorConfig autosynch::configFor(Mechanism M, sync::Backend Backend) {
   MonitorConfig Cfg;
   Cfg.Backend = Backend;
-  Cfg.Filter = defaultRelayFilter();
   switch (M) {
   case Mechanism::Baseline:
     Cfg.Policy = SignalPolicy::Broadcast;

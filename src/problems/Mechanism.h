@@ -36,17 +36,9 @@ const char *mechanismName(Mechanism M);
 inline bool isAutomatic(Mechanism M) { return M != Mechanism::Explicit; }
 
 /// Monitor configuration matching \p M. Fatal error for Explicit (it has
-/// no automatic monitor). The relay filter comes from defaultRelayFilter().
+/// no automatic monitor).
 MonitorConfig configFor(Mechanism M,
                         sync::Backend Backend = sync::Backend::Std);
-
-/// Process-wide default RelayFilter applied by configFor(). The problem
-/// factories take only (Mechanism, Backend), so sweeps over the relay
-/// filter (workbench --relay-filter, benches, ablation tests) set this
-/// before instantiating monitors instead of re-plumbing every factory.
-/// Defaults to RelayFilter::DirtySet.
-RelayFilter defaultRelayFilter();
-void setDefaultRelayFilter(RelayFilter F);
 
 } // namespace autosynch
 

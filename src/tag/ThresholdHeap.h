@@ -43,11 +43,11 @@ struct TagSearchStats {
   uint64_t SharedExprEvals = 0; ///< Shared expressions evaluated.
   uint64_t EqLookups = 0;       ///< Equivalence hash probes.
   uint64_t HeapVisits = 0;      ///< Threshold heap nodes examined.
-  uint64_t PredicateChecks = 0; ///< Predicate checks issued. Under the
-                                ///< DirtySet relay filter a check may be
-                                ///< answered by the record's false-stamp
-                                ///< without an evaluation, so actual
-                                ///< evaluations are PredicateChecks minus
+  uint64_t PredicateChecks = 0; ///< Predicate checks issued. A relay's
+                                ///< check may be answered by the
+                                ///< record's false-stamp without an
+                                ///< evaluation, so actual evaluations
+                                ///< are PredicateChecks minus
                                 ///< ManagerStats::StampShortCircuits.
   uint64_t NoneScans = 0;       ///< Records checked in the None list.
   uint64_t FilteredExprs = 0;   ///< Index entries (per-expression groups,

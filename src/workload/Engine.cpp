@@ -255,12 +255,6 @@ ScenarioReport Engine::run() {
   AUTOSYNCH_CHECK(Problem.empty(),
                   ("invalid scenario: " + Problem).c_str());
 
-  // Install the run's relay filter before any monitor is instantiated
-  // (the problem factories read it through configFor()); restored before
-  // returning so a sweep cell cannot leak its filter into later runs.
-  RelayFilter PrevFilter = defaultRelayFilter();
-  setDefaultRelayFilter(Cfg.Filter);
-
   std::vector<int64_t> Counts =
       simulateTokenCounts(Spec, Cfg.TokensPerSource);
 
@@ -352,7 +346,6 @@ ScenarioReport Engine::run() {
   R.Scenario = Spec.Name;
   R.Mech = Cfg.Mech;
   R.Backend = Cfg.Backend;
-  R.Filter = Cfg.Filter;
   R.TotalTokens = TotalTokens;
   R.TotalThreads = TotalThreads;
   R.WallSeconds = Wall;
@@ -401,8 +394,6 @@ ScenarioReport Engine::run() {
   Stages.clear();
   R.Relay = sync::RelayCounters::global().snapshot() - Relay0;
   R.Time = sync::TimedCounters::global().snapshot() - Time0;
-
-  setDefaultRelayFilter(PrevFilter);
   return R;
 }
 
@@ -430,7 +421,6 @@ void workload::writeReportJson(const ScenarioReport &R, JsonWriter &J) {
       .member("scenario", R.Scenario)
       .member("mechanism", mechanismName(R.Mech))
       .member("backend", sync::backendName(R.Backend))
-      .member("relay_filter", relayFilterName(R.Filter))
       .member("total_tokens", R.TotalTokens)
       .member("total_threads", R.TotalThreads)
       .member("wall_seconds", R.WallSeconds)

@@ -39,10 +39,6 @@ struct RunConfig {
   Mechanism Mech = Mechanism::AutoSynch;
   sync::Backend Backend = sync::Backend::Std;
 
-  /// Relay filter installed (via setDefaultRelayFilter) for the run's
-  /// monitors; the workbench sweeps it for the dirty-set ablation.
-  RelayFilter Filter = RelayFilter::DirtySet;
-
   /// Tokens each source emits.
   int64_t TokensPerSource = 10000;
 
@@ -90,7 +86,6 @@ struct ScenarioReport {
   std::string Scenario;
   Mechanism Mech = Mechanism::AutoSynch;
   sync::Backend Backend = sync::Backend::Std;
-  RelayFilter Filter = RelayFilter::DirtySet;
   int64_t TotalTokens = 0;
   int TotalThreads = 0;
   double WallSeconds = 0.0;

@@ -115,13 +115,13 @@ TEST(ConditionManagerTest, ResetStatsClears) {
   EXPECT_EQ(M.conditionManager().stats().SignalsSent, 0u);
 }
 
-TEST(ConditionManagerTest, CompiledEvalBehavesIdentically) {
-  // Note: a waiter on `turn == T` is only woken while the equality holds;
-  // advancing past T concurrently is allowed to strand it (the paper's
-  // semantics), so each round advances exactly once and joins.
-  MonitorConfig Cfg;
-  Cfg.UseCompiledEval = true;
-  TurnMonitor M(Cfg);
+TEST(ConditionManagerTest, HandoffsRacingTheWaiterLeaveNoWaiters) {
+  // The advance races the waiter's arrival: the waiter either takes the
+  // fast path or blocks and is relayed. A waiter on `turn == T` is only
+  // woken while the equality holds; advancing past T concurrently is
+  // allowed to strand it (the paper's semantics), so each round advances
+  // exactly once and joins.
+  TurnMonitor M(MonitorConfig{});
   for (int64_t T = 1; T <= 8; ++T) {
     std::thread W([&M, T] { M.awaitTurn(T); });
     M.advance();

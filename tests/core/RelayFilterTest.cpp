@@ -5,25 +5,26 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Dirty-set-directed relay signaling (MonitorConfig::RelayFilter):
+// Dirty-set-directed relay signaling:
 //
 //  * behavioral unit tests — read-only exits skip the relay outright,
 //    unrelated-variable writes are filtered by read-set intersection,
-//    version stamps short-circuit re-evaluation across relay chains, and
-//    stamps stay correct across inactive-cache revival and eviction;
+//    version stamps short-circuit re-evaluation across relay chains,
+//    stamps stay correct across inactive-cache revival and eviction, and
+//    saturated dirty/read sets never drop a wakeup;
 //  * read-set extraction — the EDSL and parsed front ends produce plans
 //    with identical shared read sets, matching the registered record's;
 //  * a differential property suite — every problem monitor driven with an
-//    identical seeded op sequence under RelayFilter::DirtySet vs. Always
-//    on every relay mechanism x backend must complete with an identical
-//    observable summary (a filtered-away wakeup would diverge or hang;
-//    hangs are caught by the ctest timeout).
+//    identical seeded op sequence on every relay mechanism x backend, all
+//    relaying through the dirty-set filter, must complete with the same
+//    observable summary as explicit signaling (a filtered-away wakeup
+//    would diverge or hang; hangs are caught by the ctest timeout).
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "bench_support/RelayRegistry.h"
 #include "core/Monitor.h"
+#include "core/RelayRegistry.h"
 #include "expr/VarSet.h"
 #include "parse/PredicateParser.h"
 #include "problems/BoundedBuffer.h"
@@ -85,15 +86,13 @@ TEST(VarSetTest, IntersectionAndSaturation) {
 // Behavioral monitors
 //===----------------------------------------------------------------------===//
 
-/// The registry-style scenario monitor shared with bench/relay_dirtyset
-/// (see bench_support/RelayRegistry.h for the read/write-set table the
-/// assertions below rely on).
-using Registry = bench::RelayRegistry;
+/// The registry-style scenario monitor (see core/RelayRegistry.h for the
+/// read/write-set table the assertions below rely on).
+using Registry = testutil::RelayRegistry;
 
-MonitorConfig relayConfig(SignalPolicy P, RelayFilter F) {
+MonitorConfig relayConfig(SignalPolicy P) {
   MonitorConfig Cfg;
   Cfg.Policy = P;
-  Cfg.Filter = F;
   return Cfg;
 }
 
@@ -109,7 +108,7 @@ INSTANTIATE_TEST_SUITE_P(Policies, RelayFilterPolicyTest,
                          });
 
 TEST_P(RelayFilterPolicyTest, ReadOnlyExitsSkipTheRelayOutright) {
-  Registry M(relayConfig(GetParam(), RelayFilter::DirtySet));
+  Registry M(relayConfig(GetParam()));
   std::thread W([&] { M.waitLevel(100); });
   awaitWaiters(M, 1);
 
@@ -128,7 +127,7 @@ TEST_P(RelayFilterPolicyTest, ReadOnlyExitsSkipTheRelayOutright) {
 }
 
 TEST_P(RelayFilterPolicyTest, UnrelatedWritesAreFilteredNotEvaluated) {
-  Registry M(relayConfig(GetParam(), RelayFilter::DirtySet));
+  Registry M(relayConfig(GetParam()));
   std::thread W([&] { M.waitLevel(100); });
   awaitWaiters(M, 1);
 
@@ -147,32 +146,8 @@ TEST_P(RelayFilterPolicyTest, UnrelatedWritesAreFilteredNotEvaluated) {
   W.join();
 }
 
-TEST_P(RelayFilterPolicyTest, AlwaysFilterNeverSkips) {
-  Registry M(relayConfig(GetParam(), RelayFilter::Always));
-  std::thread W([&] { M.waitLevel(100); });
-  awaitWaiters(M, 1);
-
-  M.conditionManager().resetStats();
-  constexpr int Ops = 50;
-  for (int I = 0; I != Ops; ++I)
-    M.peek();
-
-  const ManagerStats &S = M.conditionManager().stats();
-  EXPECT_EQ(S.RelayDirtySkips, 0u);
-  EXPECT_EQ(S.StampShortCircuits, 0u);
-  EXPECT_EQ(S.Search.FilteredExprs, 0u);
-  // The ablation baseline really scans: every exit ran a search.
-  EXPECT_GE(S.RelayCalls, static_cast<uint64_t>(Ops));
-  if (GetParam() == SignalPolicy::LinearScan) {
-    EXPECT_GE(S.Search.PredicateChecks, static_cast<uint64_t>(Ops));
-  }
-
-  M.setLevel(100);
-  W.join();
-}
-
 TEST_P(RelayFilterPolicyTest, IdempotentWritesKeepTheFastExit) {
-  Registry M(relayConfig(GetParam(), RelayFilter::DirtySet));
+  Registry M(relayConfig(GetParam()));
   std::thread W([&] { M.waitLevel(100); });
   awaitWaiters(M, 1);
 
@@ -196,7 +171,7 @@ TEST(RelayFilterTest, StampShortCircuitsAcrossRelayChains) {
   // writes gate back, and its exit relay — with `level` still in the
   // accumulated dirty set but W1's version unchanged — must answer W1's
   // check from the stamp without re-running the bytecode.
-  Registry M(relayConfig(SignalPolicy::LinearScan, RelayFilter::DirtySet));
+  Registry M(relayConfig(SignalPolicy::LinearScan));
   std::thread W1([&] { M.waitLevel(10); });
   awaitWaiters(M, 1);
   std::atomic<bool> W2Done{false};
@@ -229,8 +204,7 @@ TEST(RelayFilterTest, StampsStayCorrectAcrossRevivalAndEviction) {
   // record is destroyed between waits; the re-registered record starts
   // stampless. Either path losing a wakeup would hang this test.
   for (size_t CacheLimit : {size_t{64}, size_t{0}}) {
-    MonitorConfig Cfg =
-        relayConfig(SignalPolicy::Tagged, RelayFilter::DirtySet);
+    MonitorConfig Cfg = relayConfig(SignalPolicy::Tagged);
     Cfg.InactiveCacheLimit = CacheLimit;
     Registry M(Cfg);
 
@@ -343,7 +317,7 @@ TEST(ReadSetTest, RegisteredRecordsSeeEveryReadVariable) {
   };
 
   for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan}) {
-    TwoVar M(relayConfig(P, RelayFilter::DirtySet));
+    TwoVar M(relayConfig(P));
     std::thread W([&] { M.waitBoth(); });
     awaitWaiters(M, 1);
     M.setA(1); // Predicate still false; must be evaluated, not filtered.
@@ -354,42 +328,39 @@ TEST(ReadSetTest, RegisteredRecordsSeeEveryReadVariable) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential property suite: DirtySet vs Always on the problem monitors
+// Differential property suite: dirty-set relays on the problem monitors
 //===----------------------------------------------------------------------===//
 
 struct Combo {
   Mechanism M;
   sync::Backend B;
-  RelayFilter F;
 };
 
+/// Explicit signaling first, as the reference: it never relays, so no
+/// wakeup of it can be filtered away. Then every relay mechanism, whose
+/// exits relay through the dirty-set filter, on both backends.
 const std::vector<Combo> &allCombos() {
   static const std::vector<Combo> Combos = [] {
-    std::vector<Combo> Out;
+    std::vector<Combo> Out{{Mechanism::Explicit, sync::Backend::Std}};
     for (Mechanism M : {Mechanism::AutoSynchT, Mechanism::AutoSynch})
       for (sync::Backend B : {sync::Backend::Std, sync::Backend::Futex})
-        for (RelayFilter F : {RelayFilter::Always, RelayFilter::DirtySet})
-          Out.push_back({M, B, F});
+        Out.push_back({M, B});
     return Out;
   }();
   return Combos;
 }
 
 std::string comboName(const Combo &C) {
-  return std::string(mechanismName(C.M)) + "/" + sync::backendName(C.B) +
-         "/" + relayFilterName(C.F);
+  return std::string(mechanismName(C.M)) + "/" + sync::backendName(C.B);
 }
 
-/// Runs \p History for every mechanism x backend x filter combination and
-/// asserts each summary equals the first one's. The factories read the
-/// relay filter through defaultRelayFilter(), restored afterwards.
+/// Runs \p History for every combination and asserts each summary equals
+/// the reference's.
 void differential(
     const std::function<std::vector<int64_t>(const Combo &)> &History) {
-  RelayFilter Prev = defaultRelayFilter();
   std::vector<int64_t> Reference;
   const std::vector<Combo> &Combos = allCombos();
   for (size_t I = 0; I != Combos.size(); ++I) {
-    setDefaultRelayFilter(Combos[I].F);
     std::vector<int64_t> Summary = History(Combos[I]);
     if (I == 0) {
       Reference = std::move(Summary);
@@ -399,7 +370,6 @@ void differential(
         << comboName(Combos[I]) << " diverges from "
         << comboName(Combos[0]);
   }
-  setDefaultRelayFilter(Prev);
 }
 
 TEST(RelayFilterOracleTest, BoundedBufferFifo) {
@@ -657,7 +627,7 @@ TEST_P(RelayFilterPolicyTest, SaturatedSetsNeverDropAWakeup) {
   // read sets are universal) and below it, while unrelated writes churn
   // the dirty set across the boundary: every waiter must be woken when
   // its own variable is finally written.
-  WideMonitor M(relayConfig(GetParam(), RelayFilter::DirtySet));
+  WideMonitor M(relayConfig(GetParam()));
   constexpr int HighVar = 70, LowVar = 3, NoiseVar = 68;
   std::thread THigh([&] {
     EXPECT_TRUE(

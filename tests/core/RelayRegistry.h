@@ -1,4 +1,4 @@
-//===- bench_support/RelayRegistry.h - Dirty-set relay fixture -*- C++ -*-===//
+//===- tests/core/RelayRegistry.h - Dirty-set relay fixture -----*- C++ -*-===//
 //
 // Part of AutoSynch-C++, a reproduction of "AutoSynch: An Automatic-Signal
 // Monitor Based on Predicate Tagging" (Hung & Garg, PLDI 2013).
@@ -6,11 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The registry-style monitor the dirty-set relay scenarios are built on,
-/// shared by bench/relay_dirtyset.cpp and tests/core/RelayFilterTest.cpp
-/// so the two cannot drift apart: the zero-evaluation assertions depend on
-/// exactly which shared variables each operation writes and each waiter
-/// reads.
+/// The registry-style monitor the dirty-set relay tests in
+/// RelayFilterTest.cpp are built on. The zero-evaluation assertions there
+/// depend on exactly which shared variables each operation writes and
+/// each waiter reads.
 ///
 ///   waiters       read set
 ///   waitLevel(n)  {level}   (parsed front end, local threshold)
@@ -23,15 +22,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef AUTOSYNCH_BENCH_SUPPORT_RELAYREGISTRY_H
-#define AUTOSYNCH_BENCH_SUPPORT_RELAYREGISTRY_H
+#ifndef AUTOSYNCH_TESTS_CORE_RELAYREGISTRY_H
+#define AUTOSYNCH_TESTS_CORE_RELAYREGISTRY_H
 
 #include "core/Monitor.h"
 
-#include <chrono>
-#include <thread>
-
-namespace autosynch::bench {
+namespace autosynch::testutil {
 
 class RelayRegistry : public Monitor {
 public:
@@ -85,15 +81,7 @@ public:
     return conditionManager().numWaiters();
   }
 
-  /// Spins until \p Count threads are parked (warmup choreography for
-  /// benches; tests prefer testutil::awaitWaiters for its deadline).
-  void awaitBlocked(int Count) {
-    while (waiters() < Count)
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-
   using Monitor::conditionManager;
-  using Monitor::planCache;
 
 private:
   Shared<int64_t> Level{*this, "level", 0};
@@ -102,6 +90,6 @@ private:
   VarId N;
 };
 
-} // namespace autosynch::bench
+} // namespace autosynch::testutil
 
-#endif // AUTOSYNCH_BENCH_SUPPORT_RELAYREGISTRY_H
+#endif // AUTOSYNCH_TESTS_CORE_RELAYREGISTRY_H

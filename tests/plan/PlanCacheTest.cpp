@@ -9,8 +9,9 @@
 // the thread's local values. Covered here: shape reuse across distinct
 // values (both front ends), allocation-freedom of the steady-state bind
 // path, unification with records registered through other routes, the
-// interaction with the inactive cache's eviction limit, and a differential
-// run against the uncached pipeline.
+// interaction with the inactive cache's eviction limit, shapes the planner
+// hands back to the uncached pipeline, and a differential run against
+// that pipeline.
 //
 //===----------------------------------------------------------------------===//
 
@@ -271,18 +272,66 @@ TEST(PlanCacheTest, GuardedDisjunctionTakesTrueBranchImmediately) {
   EXPECT_EQ(M.conditionManager().stats().Waits, 0u);
 }
 
+TEST(PlanCacheTest, LegacyShapeRegistersThroughTheUncachedPipeline) {
+  // `count * n` mixes a shared and a local variable in a non-linear atom:
+  // the planner hands the shape back as Legacy, so the wait globalizes,
+  // canonicalizes and registers on every call, and is woken by a relay.
+  class Scaled : public Monitor {
+  public:
+    explicit Scaled(MonitorConfig Cfg) : Monitor(Cfg) {}
+    void awaitScaled(int64_t N) {
+      Region R(*this);
+      waitUntil("count * n >= cap", locals().bindInt(local("n"), N));
+    }
+    void setCount(int64_t V) {
+      Region R(*this);
+      Count = V;
+    }
+    AUTOSYNCH_TEST_WAITER_PROBE()
+    using Monitor::conditionManager;
+    using Monitor::planCache;
+
+  private:
+    Shared<int64_t> Count{*this, "count", 0};
+    Shared<int64_t> Cap{*this, "cap", 10};
+  };
+
+  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan}) {
+    SCOPED_TRACE(signalPolicyName(P));
+    MonitorConfig Cfg;
+    Cfg.Policy = P;
+    Scaled M(Cfg);
+    PlanCountersSnapshot Before = PlanCounters::global().snapshot();
+    std::thread W([&] { M.awaitScaled(2); });
+    awaitWaiters(M, 1);
+    M.setCount(5); // 5 * 2 >= 10: the exit relay must find the waiter.
+    W.join();
+
+    PlanCountersSnapshot Delta = PlanCounters::global().snapshot() - Before;
+    EXPECT_EQ(M.planCache().stats().LegacyShapes, 1u);
+    EXPECT_EQ(Delta.LegacyWaits, 1u);
+    const ManagerStats &S = M.conditionManager().stats();
+    EXPECT_EQ(S.Registrations, 1u);
+    EXPECT_EQ(S.PlanColdBinds + S.PlanBindHits, 0u);
+    EXPECT_EQ(S.SignalsSent, 1u);
+    EXPECT_EQ(M.conditionManager().numWaiters(), 0);
+    EXPECT_EQ(M.conditionManager().pendingSignals(), 0);
+  }
+}
+
 TEST(PlanCacheTest, DifferentialAgainstUncachedPipeline) {
-  // The same seeded workload, planned and unplanned: identical
-  // conservation result and a full drain under both configurations and
-  // both front ends.
+  // The same seeded workload, planned (Tagged) and unplanned (Broadcast,
+  // whose blocking waits run the uncached ConditionManager::await):
+  // identical conservation result and a full drain under both policies
+  // and both front ends.
   AUTOSYNCH_SEEDED_RNG(Rng, 0x91a2c3ull);
   std::vector<int64_t> Demands;
   for (int I = 0; I != 200; ++I)
     Demands.push_back(Rng.range(1, 5));
 
-  for (bool UsePlans : {true, false}) {
+  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::Broadcast}) {
     MonitorConfig Cfg;
-    Cfg.UsePlanCache = UsePlans;
+    Cfg.Policy = P;
     PoolMonitor M(Cfg);
     constexpr int Threads = 4;
     std::vector<std::thread> Pool;
@@ -300,20 +349,10 @@ TEST(PlanCacheTest, DifferentialAgainstUncachedPipeline) {
     }
     for (auto &T : Pool)
       T.join();
-    EXPECT_EQ(M.level(), 0) << (UsePlans ? "planned" : "uncached");
+    EXPECT_EQ(M.level(), 0) << signalPolicyName(P);
     EXPECT_EQ(M.conditionManager().numWaiters(), 0);
     EXPECT_EQ(M.conditionManager().pendingSignals(), 0);
   }
-}
-
-TEST(PlanCacheTest, UncachedConfigBypassesPlans) {
-  MonitorConfig Cfg;
-  Cfg.UsePlanCache = false;
-  PoolMonitor M(Cfg);
-  blockedWithdraw(M, 2, [&](int64_t V) { M.withdrawParsed(V); });
-  EXPECT_EQ(M.planCache().stats().ShapeBuilds, 0u);
-  EXPECT_EQ(M.conditionManager().stats().PlanColdBinds, 0u);
-  EXPECT_EQ(M.conditionManager().stats().Waits, 1u);
 }
 
 TEST(PlanCacheTest, BroadcastAlreadyTrueWaitsUseThePlanPrecheck) {

@@ -7,7 +7,7 @@
 //
 // The timeout-aware extension of the differential signaling oracle: timed
 // runs must agree on *completions and timeout sets* across every
-// mechanism x backend x relay-filter combination. Real time is not
+// mechanism x backend combination. Real time is not
 // deterministic, so the scripts make each timeout certain by
 // construction: an op times out only when the tokens/leases it demands
 // can never materialize again (supply is exhausted and no concurrent
@@ -43,7 +43,6 @@ constexpr uint64_t ShortNs = 20u * 1000 * 1000; // 20 ms
 struct Combo {
   Mechanism M;
   sync::Backend B;
-  RelayFilter F;
 };
 
 std::vector<Combo> allCombos() {
@@ -51,21 +50,12 @@ std::vector<Combo> allCombos() {
   for (Mechanism M : {Mechanism::Explicit, Mechanism::Baseline,
                       Mechanism::AutoSynchT, Mechanism::AutoSynch})
     for (sync::Backend B : {sync::Backend::Std, sync::Backend::Futex})
-      for (RelayFilter F : {RelayFilter::Always, RelayFilter::DirtySet}) {
-        // The relay filter only exists for the relay policies; one cell
-        // per filterless combination.
-        bool RelayPolicy =
-            M == Mechanism::AutoSynch || M == Mechanism::AutoSynchT;
-        if (!RelayPolicy && F != RelayFilter::Always)
-          continue;
-        Out.push_back({M, B, F});
-      }
+      Out.push_back({M, B});
   return Out;
 }
 
 std::string comboName(const Combo &C) {
-  return std::string(mechanismName(C.M)) + "/" + sync::backendName(C.B) +
-         "/" + relayFilterName(C.F);
+  return std::string(mechanismName(C.M)) + "/" + sync::backendName(C.B);
 }
 
 /// Runs \p History under every combination; every summary must equal the
@@ -75,10 +65,7 @@ void differential(
   std::vector<Combo> Combos = allCombos();
   std::vector<int64_t> Reference;
   for (size_t I = 0; I != Combos.size(); ++I) {
-    RelayFilter Prev = defaultRelayFilter();
-    setDefaultRelayFilter(Combos[I].F);
     std::vector<int64_t> Summary = History(Combos[I]);
-    setDefaultRelayFilter(Prev);
     if (I == 0) {
       Reference = std::move(Summary);
       continue;

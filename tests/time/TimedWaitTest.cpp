@@ -21,6 +21,7 @@
 
 #include <chrono>
 #include <thread>
+#include <vector>
 
 using namespace autosynch;
 using namespace std::chrono_literals;
@@ -240,25 +241,32 @@ TEST(TimedWaitTest, ExpiredWaiterDoesNotStrandSiblings) {
   // record. The timed one expires while exit-path traffic drives the
   // wheel; the long one must still be woken when the predicate turns
   // true — retirement of expired waiters must never retire the record
-  // under a live waiter.
+  // under a live waiter. The combinations are independent (one monitor
+  // each), so they run side by side and share one 3s deadline.
+  std::vector<std::thread> Cells;
   for (const Combo &C : allCombos()) {
-    SCOPED_TRACE(comboName(C));
-    TimedCell M(configOf(C));
-    std::thread Timed([&] { EXPECT_FALSE(M.awaitAtLeastParsed(9, 3s)); });
-    std::thread Long([&] { EXPECT_TRUE(M.awaitAtLeastParsed(9, 60s)); });
-    testutil::awaitWaiters(M, 2); // Both park well inside the 3s bound.
-    // Exit-path traffic (no state change) until the timed waiter has
-    // provably expired and left; the record must stay live for the
-    // sibling throughout.
-    auto Give = std::chrono::steady_clock::now() + 40s;
-    while (M.timeoutsSync() == 0 &&
-           std::chrono::steady_clock::now() < Give)
-      std::this_thread::sleep_for(2ms); // timeoutsSync is the traffic.
-    Timed.join();
-    EXPECT_EQ(M.stats().Timeouts, 1u);
-    M.add(9); // Now satisfy the surviving waiter.
-    Long.join();
+    Cells.emplace_back([C] {
+      SCOPED_TRACE(comboName(C));
+      TimedCell M(configOf(C));
+      std::thread Timed(
+          [&] { EXPECT_FALSE(M.awaitAtLeastParsed(9, 3s)); });
+      std::thread Long([&] { EXPECT_TRUE(M.awaitAtLeastParsed(9, 60s)); });
+      testutil::awaitWaiters(M, 2); // Both park well inside the 3s bound.
+      // Exit-path traffic (no state change) until the timed waiter has
+      // provably expired and left; the record must stay live for the
+      // sibling throughout.
+      auto Give = std::chrono::steady_clock::now() + 40s;
+      while (M.timeoutsSync() == 0 &&
+             std::chrono::steady_clock::now() < Give)
+        std::this_thread::sleep_for(2ms); // timeoutsSync is the traffic.
+      Timed.join();
+      EXPECT_EQ(M.stats().Timeouts, 1u);
+      M.add(9); // Now satisfy the surviving waiter.
+      Long.join();
+    });
   }
+  for (std::thread &T : Cells)
+    T.join();
 }
 
 TEST(TimedWaitTest, HandoffAtDeadlineIsAcceptedNotStolen) {

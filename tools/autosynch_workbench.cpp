@@ -57,8 +57,6 @@ int usage(const char *Argv0, int Code) {
       "                         (default: the scenario's own setting)\n"
       "  --rate=R               open-loop tokens/sec per source\n"
       "  --seed=S               workload seed (default: 1)\n"
-      "  --relay-filter=F[,F..] always,dirty: relay-filter sweep for the\n"
-      "                         dirty-set ablation (default: dirty)\n"
       "  --op-timeout-us=N[,N..] per-op channel deadline sweep in\n"
       "                         microseconds; 0 = untimed (default: 0).\n"
       "                         Timed ops that expire are counted and\n"
@@ -67,8 +65,8 @@ int usage(const char *Argv0, int Code) {
       "                         '-' for pure JSON on stdout, '' to skip)\n"
       "  --assert-plan-cache    fail unless every automatic (relay-policy)\n"
       "                         run served waits from the plan cache\n"
-      "  --assert-relay-skips   fail unless every relay-policy dirty-filter\n"
-      "                         run exercised the dirty-set machinery\n"
+      "  --assert-relay-skips   fail unless every relay-policy run\n"
+      "                         exercised the dirty-set machinery\n"
       "                         (skipped relays, filtered entries, or\n"
       "                         stamp short-circuits)\n",
       Argv0);
@@ -78,21 +76,10 @@ int usage(const char *Argv0, int Code) {
 // Enum-style flags reject unknown values with the full list of valid
 // choices — a typo'd cell label must fail loudly, never silently publish
 // results under the default.
-constexpr const char *RelayFilterChoices = "always, dirty";
 constexpr const char *MechanismChoices =
     "explicit, baseline, autosynch-t, autosynch";
 constexpr const char *BackendChoices = "std, futex";
 constexpr const char *ArrivalChoices = "closed, open-uniform, open-poisson";
-
-bool parseRelayFilter(std::string_view S, RelayFilter &Out) {
-  if (S == "always")
-    Out = RelayFilter::Always;
-  else if (S == "dirty" || S == "dirty-set" || S == "dirtyset")
-    Out = RelayFilter::DirtySet;
-  else
-    return false;
-  return true;
-}
 
 bool parseMechanism(std::string_view S, Mechanism &Out) {
   if (S == "explicit")
@@ -153,7 +140,6 @@ int main(int Argc, char **Argv) {
                                   Mechanism::AutoSynchT,
                                   Mechanism::AutoSynch};
   std::vector<sync::Backend> Backends = {sync::Backend::Std};
-  std::vector<RelayFilter> Filters = {RelayFilter::DirtySet};
   std::vector<uint64_t> OpTimeoutsUs = {0};
   RunConfig Base;
   std::string JsonPath = "BENCH_workload.json";
@@ -231,22 +217,6 @@ int main(int Argc, char **Argv) {
       }
       if (Backends.empty()) {
         std::fprintf(stderr, "%s: empty --backends list\n", Argv[0]);
-        return 2;
-      }
-    } else if ((V = matchFlag(Arg, "--relay-filter"))) {
-      Filters.clear();
-      for (const std::string &F : splitList(V)) {
-        RelayFilter Filter;
-        if (!parseRelayFilter(F, Filter)) {
-          std::fprintf(stderr,
-                       "%s: unknown relay filter '%s' (valid: %s)\n",
-                       Argv[0], F.c_str(), RelayFilterChoices);
-          return 2;
-        }
-        Filters.push_back(Filter);
-      }
-      if (Filters.empty()) {
-        std::fprintf(stderr, "%s: empty --relay-filter list\n", Argv[0]);
         return 2;
       }
     } else if ((V = matchFlag(Arg, "--op-timeout-us"))) {
@@ -344,44 +314,32 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Base.Seed));
   }
 
-  bench::Table Summary({"threads", "mechanism", "backend", "filter",
-                        "op-to-us", "timeouts", "wall-s", "tokens/s",
+  bench::Table Summary({"threads", "mechanism", "backend", "op-to-us", "timeouts", "wall-s", "tokens/s",
                         "e2e-p50-ms", "e2e-p95-ms", "e2e-p99-ms"});
   std::vector<ScenarioReport> Reports;
   for (int T : Threads) {
     ScenarioSpec Sized = Scenario->withWorkers(T);
     for (Mechanism M : Mechs) {
-      const bool RelayPolicy =
-          M == Mechanism::AutoSynch || M == Mechanism::AutoSynchT;
       for (sync::Backend B : Backends) {
-        for (RelayFilter F : Filters) {
-          // The relay filter only affects the relay policies; running
-          // Explicit/Baseline once per filter would just duplicate cells
-          // under a meaningless label.
-          if (!RelayPolicy && F != Filters.front())
-            continue;
-          for (uint64_t OtUs : OpTimeoutsUs) {
-            RunConfig Cfg = Base;
-            Cfg.Mech = M;
-            Cfg.Backend = B;
-            Cfg.Filter = F;
-            Cfg.OpTimeoutNs = OtUs * 1000;
-            ScenarioReport R = runScenario(Sized, Cfg);
-            char Buf[32];
-            auto Fmt = [&Buf](double Val) {
-              std::snprintf(Buf, sizeof(Buf), "%.3f", Val);
-              return std::string(Buf);
-            };
-            Summary.addRow({std::to_string(T), mechanismName(M),
-                            sync::backendName(B), relayFilterName(F),
-                            std::to_string(OtUs),
-                            std::to_string(R.OpTimeouts),
-                            Fmt(R.WallSeconds), Fmt(R.Throughput),
-                            Fmt(fmtMs(R.EndToEnd.quantileNanos(0.50))),
-                            Fmt(fmtMs(R.EndToEnd.quantileNanos(0.95))),
-                            Fmt(fmtMs(R.EndToEnd.quantileNanos(0.99)))});
-            Reports.push_back(std::move(R));
-          }
+        for (uint64_t OtUs : OpTimeoutsUs) {
+          RunConfig Cfg = Base;
+          Cfg.Mech = M;
+          Cfg.Backend = B;
+          Cfg.OpTimeoutNs = OtUs * 1000;
+          ScenarioReport R = runScenario(Sized, Cfg);
+          char Buf[32];
+          auto Fmt = [&Buf](double Val) {
+            std::snprintf(Buf, sizeof(Buf), "%.3f", Val);
+            return std::string(Buf);
+          };
+          Summary.addRow({std::to_string(T), mechanismName(M),
+                          sync::backendName(B), std::to_string(OtUs),
+                          std::to_string(R.OpTimeouts),
+                          Fmt(R.WallSeconds), Fmt(R.Throughput),
+                          Fmt(fmtMs(R.EndToEnd.quantileNanos(0.50))),
+                          Fmt(fmtMs(R.EndToEnd.quantileNanos(0.95))),
+                          Fmt(fmtMs(R.EndToEnd.quantileNanos(0.99)))});
+          Reports.push_back(std::move(R));
         }
       }
     }
@@ -415,15 +373,13 @@ int main(int Argc, char **Argv) {
   }
 
   if (AssertRelaySkips) {
-    // Every relay-policy run under the DirtySet filter must show the
-    // dirty-set machinery doing real work: relays skipped outright,
-    // index entries pruned by read-set intersection, or predicate checks
-    // answered by the version stamp. Broadcast/Explicit runs and Always
-    // runs have no skip path by design and are not checked.
+    // Every relay-policy run must show the dirty-set machinery doing
+    // real work: relays skipped outright, index entries pruned by
+    // read-set intersection, or predicate checks answered by the version
+    // stamp. Broadcast/Explicit runs have no skip path by design and are
+    // not checked.
     for (const ScenarioReport &R : Reports) {
       if (R.Mech != Mechanism::AutoSynch && R.Mech != Mechanism::AutoSynchT)
-        continue;
-      if (R.Filter != RelayFilter::DirtySet)
         continue;
       uint64_t Exercised = R.Relay.DirtySkips + R.Relay.FilteredExprs +
                            R.Relay.StampShortCircuits;
@@ -460,9 +416,7 @@ int main(int Argc, char **Argv) {
   JsonWriter J(*OS);
   J.beginObject()
       .member("tool", "autosynch-workbench")
-      .member("version", 4) // 4: per-run "op_timeout_ns"/"op_timeouts" +
-                            // "time" deadline-runtime counters (3 added
-                            // "relay_filter" + "relay").
+      .member("version", 5) // Bumped on every schema change (README).
       .member("scenario", Scenario->Name)
       .member("description", Scenario->Description)
       .member("tokens_per_source", Base.TokensPerSource)
