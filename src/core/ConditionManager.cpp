@@ -112,19 +112,13 @@ bool ConditionManager::recordTrue(Record *R) {
 // Registration, activation, and the inactive cache (§5.2)
 //===----------------------------------------------------------------------===//
 
-ConditionManager::Record *ConditionManager::lookupExisting(ExprRef Canonical) {
-  auto It = Table.find(Canonical);
-  if (It == Table.end())
-    return nullptr;
-  if (!It->second->Active)
-    ++Stats.CacheReuses;
-  return It->second.get();
-}
-
 ConditionManager::Record *
 ConditionManager::lookupOrRegister(ExprRef Canonical, Dnf D) {
-  if (Record *Existing = lookupExisting(Canonical))
-    return Existing;
+  if (auto It = Table.find(Canonical); It != Table.end()) {
+    if (!It->second->Active)
+      ++Stats.CacheReuses;
+    return It->second.get();
+  }
 
   ++Stats.Registrations;
   auto R = std::make_unique<Record>();
@@ -405,9 +399,9 @@ bool ConditionManager::awaitBroadcast(ExprRef Pred, const Env &Locals,
                         // at its first deadline check still counts, so
                         // Timeouts <= TimedWaits holds for every policy.
   bool Waited = false;
+  // The caller saw the predicate false under the lock, so the loop checks
+  // it only after each wakeup.
   while (true) {
-    if (evalBool(Pred, Combined))
-      return true; // Predicate-first, even past the deadline.
     if (TW) {
       if (Scope.cancelled()) {
         ++Stats.Cancels;
@@ -447,6 +441,8 @@ bool ConditionManager::awaitBroadcast(ExprRef Pred, const Env &Locals,
     Timers.stop(PhaseTimers::Await, T0);
     --BroadcastWaiters;
     --TotalWaiters;
+    if (evalBool(Pred, Combined))
+      return true; // Predicate-first, even past the deadline.
   }
 }
 
@@ -555,76 +551,59 @@ bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
 }
 
 bool ConditionManager::await(ExprRef Pred, const Env &Locals,
-                             TimedWait *TW) {
-  // Fast path: the condition already holds (Fig. 6 checks P first).
-  {
-    OverlayEnv Combined(Locals, SharedEnv);
-    if (evalBool(Pred, Combined))
-      return true;
+                             const WaitKey &Key, TimedWait *TW) {
+  AUTOSYNCH_CHECK(Cfg.Policy != SignalPolicy::Broadcast,
+                  "Broadcast waits go through awaitBroadcast");
+  // Hit: the key names a known record; no interning, no allocation, no
+  // canonicalization.
+  Record *R = nullptr;
+  if (Key.Canonical) {
+    if (auto It = Table.find(Key.Canonical); It != Table.end())
+      R = It->second.get();
+  } else if (Key.Sig) {
+    if (auto It = BindTable.find(SigView{Key.Sig, Key.N});
+        It != BindTable.end()) {
+      R = It->second;
+      ++Stats.PlanBindHits;
+      PlanCounters::global().onBindHit();
+    }
+  }
+  if (R) {
+    if (!R->Active)
+      ++Stats.CacheReuses; // Revival parity with lookupOrRegister.
+    return waitOnRecord(R, TW);
   }
 
-  if (Cfg.Policy == SignalPolicy::Broadcast)
-    return awaitBroadcast(Pred, Locals, TW);
-
-  // Globalization (§4.1): substitute the thread's locals so every other
-  // thread can evaluate the predicate on our behalf.
-  ExprRef G = isComplex(Pred, Syms) ? globalize(Arena, Pred, Syms, Locals)
-                                    : Pred;
+  // Miss: build the ground predicate and unify it through the canonical
+  // table (it may already be registered via another shape, eager
+  // registration, or a keyless wait). A signature is rebuilt as it
+  // stands; anything else is globalized (§4.1): the thread's locals are
+  // substituted so every other thread can evaluate it on our behalf.
+  ExprRef G;
+  if (Key.Sig) {
+    ++Stats.PlanColdBinds;
+    PlanCounters::global().onColdBind();
+    G = dnfToExpr(Arena, WaitPlan::reconstruct(Arena, Key.Sig, Key.N));
+  } else {
+    if (!Key.Canonical)
+      PlanCounters::global().onLegacyWait();
+    G = isComplex(Pred, Syms) ? globalize(Arena, Pred, Syms, Locals) : Pred;
+  }
   CanonicalPredicate CP = canonicalizePredicate(Arena, G, Cfg.Limits);
   if (CP.D.isTrue()) // Canonicalization may prove it (x >= x).
     return true;
   AUTOSYNCH_CHECK(!CP.D.isFalse(),
                   "waituntil on an unsatisfiable predicate would never "
                   "return");
-
-  return waitOnRecord(lookupOrRegister(CP.Expr, std::move(CP.D)), TW);
-}
-
-bool ConditionManager::awaitGround(const WaitPlan &Plan, TimedWait *TW) {
-  AUTOSYNCH_CHECK(Plan.kind() == WaitPlan::Kind::Ground,
-                  "awaitGround requires a Ground plan");
-  // Steady state is a plain table hit; the plan's Dnf is copied only when
-  // the record actually has to be (re-)registered.
-  Record *R = lookupExisting(Plan.canonical().Expr);
-  if (!R)
-    R = lookupOrRegister(Plan.canonical().Expr, Plan.canonical().D);
-  return waitOnRecord(R, TW);
-}
-
-bool ConditionManager::awaitBound(const SigEntry *Sig, size_t N,
-                                  TimedWait *TW) {
-  Record *R;
-  auto It = BindTable.find(SigView{Sig, N});
-  if (It != BindTable.end()) {
-    // Steady state: the signature was seen before; no interning, no
-    // allocation, no canonicalization.
-    R = It->second;
-    ++Stats.PlanBindHits;
-    PlanCounters::global().onBindHit();
-    if (!R->Active)
-      ++Stats.CacheReuses; // Revival parity with the table path.
-  } else {
-    // Cold: rebuild the ground predicate the signature denotes and unify
-    // it through the canonical table (it may already be registered via
-    // another shape, eager registration, or the uncached path), then
-    // remember the signature as an alias.
-    ++Stats.PlanColdBinds;
-    PlanCounters::global().onColdBind();
-    Dnf D0 = WaitPlan::reconstruct(Arena, Sig, N);
-    CanonicalPredicate CP =
-        canonicalizePredicate(Arena, dnfToExpr(Arena, D0), Cfg.Limits);
-    if (CP.D.isTrue())
-      return true; // Subsumption may prove the binding trivially true.
-    AUTOSYNCH_CHECK(!CP.D.isFalse(),
-                    "waituntil on an unsatisfiable predicate would never "
-                    "return");
-    R = lookupOrRegister(CP.Expr, std::move(CP.D));
-    SigKey Key;
-    Key.E.assign(Sig, Sig + N);
-    auto [Slot, Inserted] = BindTable.emplace(std::move(Key), R);
+  AUTOSYNCH_CHECK(!Key.Canonical || CP.Expr == Key.Canonical,
+                  "ground plan diverged from its canonical form");
+  R = lookupOrRegister(CP.Expr, std::move(CP.D));
+  if (Key.Sig) {
+    SigKey K;
+    K.E.assign(Key.Sig, Key.Sig + Key.N);
+    auto [Slot, Inserted] = BindTable.emplace(std::move(K), R);
     AUTOSYNCH_CHECK(Inserted, "cold bind raced an existing signature");
     R->SigAliases.push_back(&Slot->first.E);
   }
-
   return waitOnRecord(R, TW);
 }

@@ -25,7 +25,7 @@
 /// Dirty-set-directed relays: Monitor::writeSlot reports every
 /// value-changing shared write to noteWrite(), which accumulates the
 /// written VarIds in a dirty set and bumps a per-variable version counter.
-/// The invariant the relay filter rests on:
+/// The invariant dirty-set relays rest on:
 ///
 ///   every active (waiter-holding) predicate whose read set does not
 ///   intersect the accumulated dirty set is false.
@@ -57,8 +57,8 @@
 /// (the Monitor wrapper enforces this); the dirty set, version counters,
 /// and stamps are all guarded by that lock.
 ///
-/// Timed waits (the src/time/ deadline runtime): every await entry point
-/// takes an optional TimedWait carrying a monotonic deadline and an
+/// Timed waits (the src/time/ deadline runtime): await and awaitBroadcast
+/// take an optional TimedWait carrying a monotonic deadline and an
 /// optional CancelToken. A blocked timed waiter registers in the
 /// per-manager timer wheel (its own lock shard; see time/TimerWheel.h) and
 /// blocks with a *bounded* condvar wait — the wait's own deadline is the
@@ -132,9 +132,11 @@ struct ManagerStats {
   uint64_t CacheReuses = 0;   ///< Predicates revived from the inactive cache.
   uint64_t Evictions = 0;     ///< Predicates evicted from the cache.
   uint64_t PlanBindHits = 0;  ///< Plan signatures served by the bind table.
-  uint64_t PlanColdBinds = 0; ///< Plan signatures resolved the long way.
-  TagSearchStats Search;      ///< Tag-directed search work; the relay
-                              ///< filter's skip count is Search.FilteredExprs.
+  uint64_t PlanColdBinds = 0; ///< Plan signatures missing from the bind
+                              ///< table (rebuilt and registered).
+  TagSearchStats Search;      ///< Relay search work; records pruned by
+                              ///< read-set intersection with the dirty set
+                              ///< count in Search.FilteredExprs.
 };
 
 /// A wakeup picked under the monitor lock but issued after it is released
@@ -162,7 +164,7 @@ class ConditionManager {
 
 public:
   /// One in-flight timed (or cancellable) wait: a stack-allocated record
-  /// the blocking thread threads through the await entry points. Carries
+  /// the blocking thread passes to await or awaitBroadcast. Carries
   /// the wheel node (intrusive; zero allocation) and the optional token.
   /// Deadline semantics: Node.DeadlineNs is absolute monotonic
   /// (time::nowNs domain); time::NeverNs plus a token expresses a
@@ -204,11 +206,24 @@ public:
   ConditionManager(const ConditionManager &) = delete;
   ConditionManager &operator=(const ConditionManager &) = delete;
 
+  /// What a blocking wait is keyed by in the manager's tables: the
+  /// canonical form of a Ground plan (predicate table), a resolved plan
+  /// signature (bind table, WaitPlan::resolve status Resolved), or nothing
+  /// (shapes without a plan key and key overflow).
+  struct WaitKey {
+    ExprRef Canonical = nullptr;
+    const SigEntry *Sig = nullptr;
+    size_t N = 0;
+  };
+
   /// Blocks the calling thread until \p Pred (which may mention local
-  /// variables bound in \p Locals) holds. Implements the paper's Fig. 6:
-  /// check, globalize, register, then relay-and-wait until true. This is
-  /// the uncached path; steady-state waits go through awaitGround /
-  /// awaitBound below.
+  /// variables bound in \p Locals) holds; the Tagged/LinearScan wait of
+  /// the paper's Fig. 6. The caller has already checked that \p Pred is
+  /// false right now. A \p Key that hits its table goes straight to the
+  /// record — zero interning, zero allocation. Every miss runs one tail:
+  /// rebuild the ground predicate from the signature (or globalize \p Pred
+  /// over \p Locals, §4.1), canonicalize, register, and alias the
+  /// signature to the record.
   ///
   /// Monitor lock must be held; it is released while blocked and re-held on
   /// return. Fatal error if the predicate is canonically unsatisfiable
@@ -220,20 +235,15 @@ public:
   /// true. With \p TW set, returns true iff the predicate was observed
   /// true, false on deadline expiry or cancellation (predicate-first: see
   /// the file comment).
-  bool await(ExprRef Pred, const Env &Locals, TimedWait *TW = nullptr);
+  bool await(ExprRef Pred, const Env &Locals, const WaitKey &Key,
+             TimedWait *TW = nullptr);
 
-  /// Blocks on a Ground wait plan (shared-only shape, canonicalized at
-  /// plan-build time). The caller has already checked the fast path (the
-  /// predicate is false right now). Lock and TimedWait semantics as
-  /// await().
-  bool awaitGround(const WaitPlan &Plan, TimedWait *TW = nullptr);
-
-  /// Blocks on a resolved plan signature (\p Sig / \p N from
-  /// WaitPlan::resolve, status Resolved). Known signatures map straight to
-  /// their predicate record — zero interning, zero allocation; unknown
-  /// ones are reconstructed and unified through the canonical predicate
-  /// table. Lock and TimedWait semantics as await().
-  bool awaitBound(const SigEntry *Sig, size_t N, TimedWait *TW = nullptr);
+  /// The Broadcast policy's wait: no registration; relay once before the
+  /// first block, then re-evaluate \p Pred after every signalAll. The
+  /// caller has already checked that \p Pred is false right now. Lock and
+  /// TimedWait semantics as await().
+  bool awaitBroadcast(ExprRef Pred, const Env &Locals,
+                      TimedWait *TW = nullptr);
 
   /// The relay signaling rule; called on monitor exit and before blocking.
   /// With \p Defer null the winning record is signaled immediately (the
@@ -298,7 +308,8 @@ private:
     std::vector<Tag> Tags;
     std::unique_ptr<sync::Condition> Cond;
     CompiledPredicate Code;
-    /// Shared variables the predicate reads; drives the relay filter.
+    /// Shared variables the predicate reads; intersected with the dirty
+    /// set to prune the relay search.
     VarSet ReadSet;
     /// Version-stamp of the last false evaluation: while no read-set
     /// variable has a newer version, the predicate is still false and
@@ -370,8 +381,6 @@ private:
   /// Parks \p R in the inactive queue for reuse or eventual eviction.
   void park(Record *R);
 
-  /// Existing record for \p Canonical (with revival bookkeeping), or null.
-  Record *lookupExisting(ExprRef Canonical);
   Record *lookupOrRegister(ExprRef Canonical, Dnf D);
   void activate(Record *R);
   void deactivate(Record *R);
@@ -409,8 +418,6 @@ private:
   /// relays, on destruction, and from resetStats — never per exit, so the
   /// hot path touches no shared atomics.
   void flushRelayCounters();
-
-  bool awaitBroadcast(ExprRef Pred, const Env &Locals, TimedWait *TW);
 
   sync::Mutex &MonitorLock;
   ExprArena &Arena;

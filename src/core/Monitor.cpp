@@ -7,6 +7,7 @@
 
 #include "core/Monitor.h"
 
+#include "expr/Eval.h"
 #include "expr/Subst.h"
 #include "parse/PredicateParser.h"
 
@@ -104,23 +105,8 @@ bool Monitor::waitUntilImpl(ExprRef Pred, const Env &Locals, bool Edsl,
   return Satisfied;
 }
 
-bool Monitor::awaitLegacy(ExprRef Pred, const Env &Locals,
-                          const TimedSpec &TS) {
-  PlanCounters::global().onLegacyWait();
-  if (!TS.timed())
-    return Mgr.await(Pred, Locals);
-  ConditionManager::TimedWait TW(TS.deadlineNs(), TS.Token);
-  return Mgr.await(Pred, Locals, &TW);
-}
-
 bool Monitor::dispatchWait(ExprRef Pred, const Env &Locals, bool Edsl,
                            ParseEntry *Entry, const TimedSpec &TS) {
-  // Broadcast has no registered predicates, so plans cannot resolve waits
-  // for it — but the allocation-free already-true precheck applies to any
-  // policy. Blocking Broadcast waits fall through to the uncached
-  // pipeline below with wakeup semantics untouched.
-  const bool Broadcast = Cfg.Policy == SignalPolicy::Broadcast;
-
   Value Bound[WaitPlan::MaxSlots];
   size_t NumBound = 0;
   const WaitPlan *Plan;
@@ -133,66 +119,63 @@ bool Monitor::dispatchWait(ExprRef Pred, const Env &Locals, bool Edsl,
     if (Entry)
       Entry->Plan = Plan;
   }
-
   // Shapes beyond the planner (mixed non-linear atoms, slot overflow) and
-  // the canonically-trivial ones run the uncached pipeline: it reproduces
-  // the exact fast-path-then-fatal behavior for trivial predicates, and
-  // it is the reference semantics for everything else.
-  if (!Plan || Plan->kind() == WaitPlan::Kind::Legacy ||
-      Plan->kind() == WaitPlan::Kind::AlwaysTrue ||
-      Plan->kind() == WaitPlan::Kind::Unsatisfiable)
-    return awaitLegacy(Pred, Locals, TS);
+  // the canonically-true ones wait without a plan key.
+  const WaitPlan::Kind K = Plan ? Plan->kind() : WaitPlan::Kind::Legacy;
+  const bool Planned =
+      K == WaitPlan::Kind::Ground || K == WaitPlan::Kind::Slotted;
+  // Checked before any policy's wait: Broadcast registers nothing, so it
+  // would otherwise block forever.
+  constexpr const char *Unsat =
+      "waituntil on an unsatisfiable predicate would never return";
+  AUTOSYNCH_CHECK(K != WaitPlan::Kind::Unsatisfiable, Unsat);
 
-  if (Plan->kind() == WaitPlan::Kind::Ground) {
-    if (Plan->code().runRawBool(Slots.data(), nullptr))
-      return true; // Fast path: already true (Fig. 6 checks P first).
-    if (Broadcast)
-      return awaitLegacy(Pred, Locals, TS);
-    if (!TS.timed())
-      return Mgr.awaitGround(*Plan);
-    // Timed waits bind their deadline into the same stack frame the plan
-    // hit uses — a TimerNode slot, no allocation, no extra lookups.
-    ConditionManager::TimedWait TW(TS.deadlineNs(), TS.Token);
-    return Mgr.awaitGround(*Plan, &TW);
+  if (K == WaitPlan::Kind::Slotted) {
+    if (!Edsl)
+      Plan->bindFromEnv(Locals, Bound);
+    else
+      AUTOSYNCH_CHECK(NumBound == Plan->slots().size(),
+                      "EDSL binding count diverged from the plan");
   }
-
-  // Slotted plan: bind this thread's locals, then check-then-wait.
-  if (!Edsl)
-    Plan->bindFromEnv(Locals, Bound);
-  else
-    AUTOSYNCH_CHECK(NumBound == Plan->slots().size(),
-                    "EDSL binding count diverged from the plan");
-  if (Plan->code().runRawBool(Slots.data(), Bound))
-    return true; // Fast path: already true.
-  if (Broadcast)
-    return awaitLegacy(Pred, Locals, TS);
-
-  SigEntry Sig[WaitPlan::MaxSigEntries];
-  size_t N = 0;
-  switch (Plan->resolve(Bound, Sig, N)) {
-  case WaitPlan::ResolveStatus::Resolved: {
-    if (!TS.timed())
-      return Mgr.awaitBound(Sig, N);
-    ConditionManager::TimedWait TW(TS.deadlineNs(), TS.Token);
-    return Mgr.awaitBound(Sig, N, &TW);
-  }
-  case WaitPlan::ResolveStatus::True:
-    // "True under any shared state" contradicts the fast check above;
-    // resolution and the compiled check derive from the same canonical
-    // form, so this is unreachable.
-    AUTOSYNCH_CHECK(false, "plan resolution diverged from evaluation");
+  // Fast path: already true (Fig. 6 checks P first) — the plan's
+  // allocation-free compiled check, or a tree walk for keyless shapes.
+  if (Planned ? Plan->code().runRawBool(Slots.data(), Bound)
+              : evalBool(Pred, OverlayEnv(Locals, SharedSlots)))
     return true;
-  case WaitPlan::ResolveStatus::False:
-    AUTOSYNCH_CHECK(false,
-                    "waituntil on an unsatisfiable predicate would never "
-                    "return");
-    return false;
-  case WaitPlan::ResolveStatus::Overflow:
-    // Key arithmetic left int64; the uncached pipeline (whose own
-    // overflow handling degrades to an untagged opaque atom) is exact.
-    return awaitLegacy(Pred, Locals, TS);
+
+  // Declared only now: the already-true path pays nothing for the buffer.
+  SigEntry Sig[WaitPlan::MaxSigEntries];
+  ConditionManager::WaitKey Key;
+  if (K == WaitPlan::Kind::Ground) {
+    Key.Canonical = Plan->canonical().Expr;
+  } else if (K == WaitPlan::Kind::Slotted) {
+    switch (Plan->resolve(Bound, Sig, Key.N)) {
+    case WaitPlan::ResolveStatus::Resolved:
+      Key.Sig = Sig;
+      break;
+    case WaitPlan::ResolveStatus::True:
+      // "True under any shared state" contradicts the fast check above;
+      // resolution and the compiled check derive from the same canonical
+      // form, so this is unreachable.
+      AUTOSYNCH_CHECK(false, "plan resolution diverged from evaluation");
+      return true;
+    case WaitPlan::ResolveStatus::False:
+      AUTOSYNCH_CHECK(false, Unsat);
+      return false;
+    case WaitPlan::ResolveStatus::Overflow:
+      // Key arithmetic left int64: wait without a key; globalization's
+      // own overflow handling degrades to an untagged opaque atom.
+      break;
+    }
   }
-  AUTOSYNCH_UNREACHABLE("invalid ResolveStatus");
+
+  // One bound set-up for every policy and key; the deadline is read only
+  // now that the wait blocks.
+  ConditionManager::TimedWait TW(TS.timed() ? TS.deadlineNs() : 0, TS.Token);
+  ConditionManager::TimedWait *TWP = TS.timed() ? &TW : nullptr;
+  if (Cfg.Policy == SignalPolicy::Broadcast)
+    return Mgr.awaitBroadcast(Pred, Locals, TWP);
+  return Mgr.await(Pred, Locals, Key, TWP);
 }
 
 void Monitor::waitUntil(const ExprHandle &P) {

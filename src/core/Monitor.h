@@ -308,11 +308,10 @@ private:
 
   bool waitUntilImpl(ExprRef Pred, const Env &Locals, bool Edsl,
                      ParseEntry *Entry, const TimedSpec &TS);
+  /// Picks the plan, runs the one already-true check, resolves the plan
+  /// key, and hands the blocking wait to the policy's entry point.
   bool dispatchWait(ExprRef Pred, const Env &Locals, bool Edsl,
                     ParseEntry *Entry, const TimedSpec &TS);
-  /// Tail of dispatchWait: runs the uncached pipeline with the spec's
-  /// bound materialized.
-  bool awaitLegacy(ExprRef Pred, const Env &Locals, const TimedSpec &TS);
 
   /// Heterogeneous string hashing so the parse-cache hit path looks up by
   /// string_view without materializing a std::string key.

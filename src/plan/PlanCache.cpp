@@ -90,7 +90,7 @@ const WaitPlan *PlanCache::forEdsl(ExprRef P, const DnfLimits &Limits,
   // Ground (or Legacy, for e.g. unbounded DNF) plan over P.
   NumBound = 0;
   if (isComplex(P, Syms))
-    return nullptr; // Locals smuggled into an EDSL tree: uncached path.
+    return nullptr; // Locals smuggled into an EDSL tree: no plan key.
   return lookupOrBuild(P, Limits);
 }
 

@@ -47,7 +47,7 @@ struct PlanCountersSnapshot {
   uint64_t ShapeHits = 0;
   uint64_t BindHits = 0;   ///< Signature lookups served by the bind table.
   uint64_t ColdBinds = 0;  ///< Signatures resolved through the cold path.
-  uint64_t LegacyWaits = 0;///< waituntil calls on the uncached path.
+  uint64_t LegacyWaits = 0;///< Blocking waits registered without a key.
 
   PlanCountersSnapshot operator-(const PlanCountersSnapshot &R) const {
     return {ShapeBuilds - R.ShapeBuilds, ShapeHits - R.ShapeHits,

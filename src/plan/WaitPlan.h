@@ -33,7 +33,7 @@
 /// Exactness is never load-bearing: a signature the manager has not seen
 /// is reconstructed into an expression and re-canonicalized through the
 /// ordinary dnf/ pipeline, unifying with records registered by any other
-/// route (eager registration, the uncached path, other shapes). The bind
+/// route (eager registration, keyless waits, other shapes). The bind
 /// path only ever prunes conjunctions it can prove false (guard failure,
 /// divisibility, interval contradiction — the same rules the ground
 /// canonicalizer applies after substitution), so plans are semantically
@@ -88,7 +88,8 @@ public:
     Slotted,       ///< Parameterized over local-value slots.
     Legacy,        ///< Shape the planner cannot parameterize (e.g. a
                    ///< non-linear atom mixing shared and local variables);
-                   ///< callers use the uncached waituntil path.
+                   ///< its waits carry no key and are globalized and
+                   ///< canonicalized on every blocking call.
     AlwaysTrue,    ///< Canonically true for every binding.
     Unsatisfiable  ///< Canonically false for every binding.
   };
@@ -99,8 +100,8 @@ public:
     TypeKind Type = TypeKind::Int;
   };
 
-  /// Shapes with more slots, conjunctions, or atoms fall back to the
-  /// uncached path; the caps size the fixed buffers resolve() works in
+  /// Shapes with more slots, conjunctions, or atoms are planned as Legacy;
+  /// the caps size the fixed buffers resolve() works in
   /// (build() enforces them, so resolution never overflows).
   static constexpr size_t MaxSlots = 16;
   static constexpr size_t MaxConjs = 24;
@@ -112,7 +113,8 @@ public:
     True,     ///< Predicate is true for this binding under any state.
     False,    ///< Predicate is false for this binding under any state
               ///< (an unsatisfiable wait — fatal at the call site).
-    Overflow  ///< Key arithmetic overflowed int64; use the uncached path.
+    Overflow  ///< Key arithmetic overflowed int64; the wait carries no
+              ///< key (registered like a Legacy shape's).
   };
 
   /// Builds the plan for \p Shape (bool-typed; locals symbolic). Always

@@ -95,8 +95,8 @@ struct ScenarioReport {
   /// Sync-layer event deltas over the run (process-wide).
   sync::CountersSnapshot Sync;
   /// Wait-plan cache deltas over the run (process-wide): how the
-  /// monitors' waituntil calls were served (bind-table hits vs. cold
-  /// resolutions vs. the uncached pipeline).
+  /// monitors' blocking waits were served (bind-table hits vs. cold
+  /// binds vs. keyless registrations).
   PlanCountersSnapshot Plan;
   /// Dirty-set relay deltas over the run (process-wide): skipped relays,
   /// read-set-filtered index entries, stamp short-circuits.

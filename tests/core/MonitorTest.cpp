@@ -68,6 +68,11 @@ public:
     waitUntil(Count < 0 && Count > 0);
   }
 
+  void waitUnsatisfiableParsed() {
+    Region R(*this);
+    waitUntil("count < 0 && count > 0");
+  }
+
   using Monitor::conditionManager;
 
 private:
@@ -163,8 +168,17 @@ TEST(MonitorTest, WaitFromNestedRegionIsFatal) {
 }
 
 TEST(MonitorTest, UnsatisfiablePredicateIsFatal) {
-  CounterMonitor M;
-  EXPECT_DEATH(M.waitUnsatisfiable(), "unsatisfiable");
+  // Under every policy: Broadcast registers nothing, so without the
+  // up-front check its wait would block forever instead.
+  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan,
+                         SignalPolicy::Broadcast}) {
+    SCOPED_TRACE(signalPolicyName(P));
+    MonitorConfig Cfg;
+    Cfg.Policy = P;
+    CounterMonitor M(Cfg);
+    EXPECT_DEATH(M.waitUnsatisfiable(), "unsatisfiable");
+    EXPECT_DEATH(M.waitUnsatisfiableParsed(), "unsatisfiable");
+  }
 }
 
 TEST(MonitorTest, ParseErrorsAreFatalWithLocation) {

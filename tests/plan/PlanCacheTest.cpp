@@ -9,9 +9,10 @@
 // the thread's local values. Covered here: shape reuse across distinct
 // values (both front ends), allocation-freedom of the steady-state bind
 // path, unification with records registered through other routes, the
-// interaction with the inactive cache's eviction limit, shapes the planner
-// hands back to the uncached pipeline, and a differential run against
-// that pipeline.
+// interaction with the inactive cache's eviction limit, waits that
+// register without a plan key (Legacy shapes and key overflow), fatal
+// unsatisfiable bindings under every policy, and a differential run
+// against the Broadcast policy, which registers nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -174,7 +175,7 @@ TEST(PlanCacheTest, FrontEndsUnifyOnOneRecord) {
 
 TEST(PlanCacheTest, BindHitsRecordCacheReuse) {
   // A bind-table hit on a parked record must count as a cache reuse,
-  // exactly like a canonical-table hit on the uncached path.
+  // exactly like a predicate-table hit on a keyless wait.
   PoolMonitor M;
   blockedWithdraw(M, 4, [&](int64_t V) { M.withdrawParsed(V); });
   uint64_t ReusesBefore = M.conditionManager().stats().CacheReuses;
@@ -237,6 +238,7 @@ TEST(PlanCacheTest, GroundParsedPredicatePlansOnce) {
 TEST(PlanCacheTest, UnsatisfiableBindingIsFatal) {
   class Unsat : public Monitor {
   public:
+    explicit Unsat(MonitorConfig Cfg) : Monitor(Cfg) {}
     void wait() {
       Region R(*this);
       // Satisfiable as a shape (there are n, m with n <= m), dead for
@@ -248,8 +250,14 @@ TEST(PlanCacheTest, UnsatisfiableBindingIsFatal) {
   private:
     Shared<int64_t> Count{*this, "count", 0};
   };
-  Unsat M;
-  EXPECT_DEATH(M.wait(), "unsatisfiable");
+  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan,
+                         SignalPolicy::Broadcast}) {
+    SCOPED_TRACE(signalPolicyName(P));
+    MonitorConfig Cfg;
+    Cfg.Policy = P;
+    Unsat M(Cfg);
+    EXPECT_DEATH(M.wait(), "unsatisfiable");
+  }
 }
 
 TEST(PlanCacheTest, GuardedDisjunctionTakesTrueBranchImmediately) {
@@ -319,11 +327,59 @@ TEST(PlanCacheTest, LegacyShapeRegistersThroughTheUncachedPipeline) {
   }
 }
 
+TEST(PlanCacheTest, KeyOverflowRegistersWithoutAKey) {
+  // `flag || count - n >= m` is a Slotted shape whose key is n + m. With
+  // n = m = 2^62 the key leaves int64 (WaitPlan::ResolveStatus::Overflow)
+  // while evaluation does not wrap, so the wait blocks and registers
+  // without a key, and the write to `flag` wakes it with one relay.
+  class Wide : public Monitor {
+  public:
+    explicit Wide(MonitorConfig Cfg) : Monitor(Cfg) {}
+    void awaitWide(int64_t N, int64_t M) {
+      Region R(*this);
+      waitUntil("flag || count - n >= m",
+                locals().bindInt(local("n"), N).bindInt(local("m"), M));
+    }
+    void raise() {
+      Region R(*this);
+      Flag = true;
+    }
+    AUTOSYNCH_TEST_WAITER_PROBE()
+    using Monitor::conditionManager;
+
+  private:
+    Shared<bool> Flag{*this, "flag", false};
+    Shared<int64_t> Count{*this, "count", 0};
+  };
+
+  constexpr int64_t Big = int64_t{1} << 62;
+  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan}) {
+    SCOPED_TRACE(signalPolicyName(P));
+    MonitorConfig Cfg;
+    Cfg.Policy = P;
+    Wide M(Cfg);
+    PlanCountersSnapshot Before = PlanCounters::global().snapshot();
+    std::thread W([&] { M.awaitWide(Big, Big); });
+    awaitWaiters(M, 1);
+    M.raise();
+    W.join();
+
+    PlanCountersSnapshot Delta = PlanCounters::global().snapshot() - Before;
+    EXPECT_EQ(Delta.LegacyWaits, 1u);
+    const ManagerStats &S = M.conditionManager().stats();
+    EXPECT_EQ(S.PlanColdBinds + S.PlanBindHits, 0u);
+    EXPECT_EQ(S.Registrations, 1u);
+    EXPECT_EQ(S.SignalsSent, 1u);
+    EXPECT_EQ(M.conditionManager().numWaiters(), 0);
+    EXPECT_EQ(M.conditionManager().pendingSignals(), 0);
+  }
+}
+
 TEST(PlanCacheTest, DifferentialAgainstUncachedPipeline) {
-  // The same seeded workload, planned (Tagged) and unplanned (Broadcast,
-  // whose blocking waits run the uncached ConditionManager::await):
-  // identical conservation result and a full drain under both policies
-  // and both front ends.
+  // The same seeded workload, planned (Tagged) and unregistered
+  // (Broadcast, whose blocking waits re-evaluate the predicate tree after
+  // every signalAll): identical conservation result and a full drain
+  // under both policies and both front ends.
   AUTOSYNCH_SEEDED_RNG(Rng, 0x91a2c3ull);
   std::vector<int64_t> Demands;
   for (int I = 0; I != 200; ++I)
@@ -358,8 +414,8 @@ TEST(PlanCacheTest, DifferentialAgainstUncachedPipeline) {
 TEST(PlanCacheTest, BroadcastAlreadyTrueWaitsUseThePlanPrecheck) {
   // The Broadcast policy registers no predicates, but its already-true
   // waits run the plan's allocation-free compiled check: after the shape
-  // is warm, fresh bound values must not grow the arena (the uncached
-  // pipeline would intern a globalized tree per value).
+  // is warm, fresh bound values must not grow the arena (globalizing
+  // would intern a tree per value).
   MonitorConfig Cfg;
   Cfg.Policy = SignalPolicy::Broadcast;
   PoolMonitor M(Cfg);
@@ -380,8 +436,7 @@ TEST(PlanCacheTest, BroadcastAlreadyTrueWaitsUseThePlanPrecheck) {
 
 TEST(PlanCacheTest, BroadcastBlockingWaitsKeepSignalAllSemantics) {
   // The precheck must not change how Broadcast blocks or wakes: a
-  // blocking wait still goes through the uncached pipeline and resumes
-  // via signalAll.
+  // blocking wait registers nothing and resumes via signalAll.
   MonitorConfig Cfg;
   Cfg.Policy = SignalPolicy::Broadcast;
   PoolMonitor M(Cfg);

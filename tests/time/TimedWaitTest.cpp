@@ -168,9 +168,56 @@ TEST(TimedWaitTest, RepeatTimedWaitsHitThePlanCache) {
   for (int I = 0; I != 4; ++I)
     EXPECT_FALSE(M.awaitAtLeastParsed(50 + I, 10ms));
   // One shape, four bindings: the timed path must ride the bind table
-  // (allocation-free steady state), not the uncached pipeline.
+  // (allocation-free steady state), not a keyless registration.
   EXPECT_GE(M.stats().PlanBindHits + M.stats().PlanColdBinds, 4u);
   EXPECT_GE(M.stats().Timeouts, 4u);
+}
+
+TEST(TimedWaitTest, KeylessTimedWaitTimesOutAndSucceeds) {
+  // `count * n` is a non-linear atom mixing a shared and a local variable:
+  // the planner hands the shape back as Legacy, so the timed wait blocks
+  // on a record registered without a plan key.
+  class Scaled : public Monitor {
+  public:
+    explicit Scaled(MonitorConfig Cfg) : Monitor(Cfg) {}
+    bool awaitScaled(int64_t N, std::chrono::nanoseconds Timeout) {
+      Region R(*this);
+      return waitUntilFor("count * n >= cap",
+                          locals().bindInt(local("n"), N), Timeout);
+    }
+    void setCount(int64_t V) {
+      Region R(*this);
+      Count = V;
+    }
+    AUTOSYNCH_TEST_WAITER_PROBE()
+
+  private:
+    Shared<int64_t> Count{*this, "count", 0};
+    Shared<int64_t> Cap{*this, "cap", 10};
+  };
+
+  for (const Combo &C : allCombos()) {
+    SCOPED_TRACE(comboName(C));
+    Scaled M(configOf(C));
+    const ConditionManager &Mgr = M.conditionManager();
+    auto T0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(M.awaitScaled(2, 20ms));
+    EXPECT_GE(std::chrono::steady_clock::now() - T0, 20ms)
+        << "returned before the deadline";
+    EXPECT_EQ(Mgr.stats().Timeouts, 1u);
+    EXPECT_EQ(Mgr.numWaiters(), 0);
+    EXPECT_EQ(Mgr.pendingSignals(), 0);
+
+    std::thread Setter([&] {
+      testutil::awaitWaiters(M, 1);
+      M.setCount(5); // 5 * 2 >= 10.
+    });
+    EXPECT_TRUE(M.awaitScaled(2, 10s));
+    Setter.join();
+    EXPECT_EQ(Mgr.stats().Timeouts, 1u);
+    EXPECT_EQ(Mgr.numWaiters(), 0);
+    EXPECT_EQ(Mgr.pendingSignals(), 0);
+  }
 }
 
 TEST(TimedWaitTest, CancelTokenAbortsBlockedWait) {

@@ -349,8 +349,8 @@ int main(int Argc, char **Argv) {
 
   if (AssertPlanCache) {
     // Every relay-policy (automatic, non-broadcast) run must have served
-    // its waituntil calls through the plan cache: no uncached-pipeline
-    // waits, and the cache actually consulted. Broadcast and Explicit
+    // its waituntil calls through the plan cache: no keyless waits, and
+    // the cache actually consulted. Broadcast and Explicit
     // runs have no plan path by design.
     for (const ScenarioReport &R : Reports) {
       if (R.Mech != Mechanism::AutoSynch && R.Mech != Mechanism::AutoSynchT)
