@@ -7,6 +7,7 @@
 
 #include "core/ConditionManager.h"
 
+#include "dnf/Dnf.h"
 #include "expr/Eval.h"
 #include "expr/Subst.h"
 #include "plan/PlanCache.h"
@@ -41,17 +42,17 @@ ConditionManager::ConditionManager(sync::Mutex &MonitorLock,
     BroadcastCond = MonitorLock.newCondition();
 }
 
-size_t ConditionManager::SigHash::hash(const SigEntry *P, size_t N) {
+size_t ConditionManager::SigHash::operator()(const SigView &V) const {
   // FNV-1a over the entry fields.
   uint64_t H = 1469598103934665603ull;
-  auto Mix = [&H](uint64_t V) {
-    H ^= V;
+  auto Mix = [&H](uint64_t X) {
+    H ^= X;
     H *= 1099511628211ull;
   };
-  for (size_t I = 0; I != N; ++I) {
-    Mix(reinterpret_cast<uintptr_t>(P[I].P));
-    Mix(P[I].Tag);
-    Mix(static_cast<uint64_t>(P[I].K));
+  for (size_t I = 0; I != V.N; ++I) {
+    Mix(reinterpret_cast<uintptr_t>(V.P[I].P));
+    Mix(V.P[I].Kind);
+    Mix(static_cast<uint64_t>(V.P[I].K));
   }
   return static_cast<size_t>(H);
 }
@@ -113,39 +114,63 @@ bool ConditionManager::recordTrue(Record *R) {
 //===----------------------------------------------------------------------===//
 
 ConditionManager::Record *
-ConditionManager::lookupOrRegister(ExprRef Canonical, Dnf D) {
-  if (auto It = Table.find(Canonical); It != Table.end()) {
-    if (!It->second->Active)
-      ++Stats.CacheReuses;
-    return It->second.get();
-  }
+ConditionManager::lookupOrRegister(const SigEntry *Sig, size_t N,
+                                   bool &Hit) {
+  auto It = Table.find(SigView{Sig, N});
+  Hit = It != Table.end();
+  if (!Hit)
+    return registerRecord(Sig, N);
+  Record *R = It->second.get();
+  if (!R->Active)
+    ++Stats.CacheReuses;
+  return R;
+}
 
+ConditionManager::Record *
+ConditionManager::registerRecord(const SigEntry *Sig, size_t N) {
   ++Stats.Registrations;
-  auto R = std::make_unique<Record>();
-  R->Canonical = Canonical;
-  R->D = std::move(D);
-  R->Tags = deriveTags(Arena, R->D, Syms);
-  // Registered predicates are globalized (shared variables only), so the
-  // whole variable set of the canonical form is the read set.
-  collectVars(Canonical, R->ReadSet);
-  if (!CondPool.empty()) {
-    R->Cond = std::move(CondPool.back());
-    CondPool.pop_back();
+  std::unique_ptr<Record> Fresh;
+  Record *R;
+  if (!Spare.empty()) {
+    // Evicted records come back with their waiter/signal counts at zero
+    // (eviction checks it) and out of every list and index.
+    R = Spare.back().mapped().get();
+    R->StampValid = false;
+    R->FalseVersion = 0;
+    R->ReadSet.clear();
   } else {
-    R->Cond = MonitorLock.newCondition();
+    Fresh = std::make_unique<Record>();
+    Fresh->Cond = MonitorLock.newCondition();
+    R = Fresh.get();
   }
-  R->Code = CompiledPredicate::compile(
-      Canonical, [this](VarId V) -> ResolvedVar {
+  // Everything else comes straight from the entries: no expression is
+  // built, nothing is interned or canonicalized again.
+  R->Sig.assign(Sig, Sig + N);
+  deriveTags(Sig, N, Syms, R->Tags);
+  for (size_t I = 0; I != N; ++I)
+    if (!Sig[I].isSeparator())
+      collectVars(Sig[I].P, R->ReadSet);
+  CompiledPredicate::compileSignature(
+      Sig, N,
+      [this](VarId V) -> ResolvedVar {
         AUTOSYNCH_CHECK(Syms.isShared(V),
                         "registered predicate mentions a local");
         return {ResolvedVar::Kind::Shared, V};
-      });
-  Record *Raw = R.get();
-  Table.emplace(Canonical, std::move(R));
+      },
+      R->Code);
+
+  SigView Key{R->Sig.data(), N};
+  if (Fresh) {
+    Table.emplace(Key, std::move(Fresh));
+  } else {
+    Spare.back().key() = Key;
+    Table.insert(std::move(Spare.back()));
+    Spare.pop_back();
+  }
   // Newly registered predicates start parked; activate() revives them when
   // the first waiter arrives.
-  park(Raw);
-  return Raw;
+  park(R);
+  return R;
 }
 
 void ConditionManager::park(Record *R) {
@@ -214,16 +239,12 @@ void ConditionManager::evictIfNeeded() {
       continue; // Revived while queued.
     AUTOSYNCH_CHECK(R->Waiters == 0 && R->PendingSignals == 0,
                     "evicting a record in use");
-    for (const std::vector<SigEntry> *Alias : R->SigAliases) {
-      auto It = BindTable.find(SigView{Alias->data(), Alias->size()});
-      AUTOSYNCH_CHECK(It != BindTable.end() && It->second == R,
-                      "stale plan-signature alias");
-      BindTable.erase(It);
-    }
-    // Park the condvar, never destroy it here: a deferred exit-wakeup may
-    // still be signaling it (see CondPool).
-    CondPool.push_back(std::move(R->Cond));
-    Table.erase(R->Canonical);
+    // Keep the record, condvar included, never destroy it here: a
+    // deferred exit-wakeup may still be signaling it (see Spare).
+    auto Node = Table.extract(SigView{R->Sig.data(), R->Sig.size()});
+    AUTOSYNCH_CHECK(!Node.empty() && Node.mapped().get() == R,
+                    "evicted record missing from the table");
+    Spare.push_back(std::move(Node));
     ++Stats.Evictions;
   }
 }
@@ -234,7 +255,9 @@ void ConditionManager::registerPredicate(ExprRef Pred) {
   CanonicalPredicate CP = canonicalizePredicate(Arena, Pred, Cfg.Limits);
   if (CP.D.isTrue() || CP.D.isFalse())
     return;
-  lookupOrRegister(CP.Expr, std::move(CP.D));
+  std::vector<SigEntry> Sig = signatureOf(CP.D);
+  bool Hit;
+  lookupOrRegister(Sig.data(), Sig.size(), Hit);
   evictIfNeeded();
 }
 
@@ -554,56 +577,39 @@ bool ConditionManager::await(ExprRef Pred, const Env &Locals,
                              const WaitKey &Key, TimedWait *TW) {
   AUTOSYNCH_CHECK(Cfg.Policy != SignalPolicy::Broadcast,
                   "Broadcast waits go through awaitBroadcast");
-  // Hit: the key names a known record; no interning, no allocation, no
-  // canonicalization.
-  Record *R = nullptr;
-  if (Key.Canonical) {
-    if (auto It = Table.find(Key.Canonical); It != Table.end())
-      R = It->second.get();
-  } else if (Key.Sig) {
-    if (auto It = BindTable.find(SigView{Key.Sig, Key.N});
-        It != BindTable.end()) {
-      R = It->second;
-      ++Stats.PlanBindHits;
-      PlanCounters::global().onBindHit();
-    }
-  }
-  if (R) {
-    if (!R->Active)
-      ++Stats.CacheReuses; // Revival parity with lookupOrRegister.
-    return waitOnRecord(R, TW);
+  const SigEntry *Sig = Key.Sig;
+  size_t N = Key.N;
+  std::vector<SigEntry> Keyless;
+  if (!Sig) {
+    // No key: globalize (§4.1) — the thread's locals are substituted so
+    // every other thread can evaluate the predicate on our behalf — and
+    // canonicalize, then key the result like any other route.
+    PlanCounters::global().onLegacyWait();
+    ExprRef G =
+        isComplex(Pred, Syms) ? globalize(Arena, Pred, Syms, Locals) : Pred;
+    CanonicalPredicate CP = canonicalizePredicate(Arena, G, Cfg.Limits);
+    if (CP.D.isTrue()) // Canonicalization may prove it (x >= x).
+      return true;
+    AUTOSYNCH_CHECK(!CP.D.isFalse(),
+                    "waituntil on an unsatisfiable predicate would never "
+                    "return");
+    Keyless = signatureOf(CP.D);
+    Sig = Keyless.data();
+    N = Keyless.size();
   }
 
-  // Miss: build the ground predicate and unify it through the canonical
-  // table (it may already be registered via another shape, eager
-  // registration, or a keyless wait). A signature is rebuilt as it
-  // stands; anything else is globalized (§4.1): the thread's locals are
-  // substituted so every other thread can evaluate it on our behalf.
-  ExprRef G;
-  if (Key.Sig) {
-    ++Stats.PlanColdBinds;
-    PlanCounters::global().onColdBind();
-    G = dnfToExpr(Arena, WaitPlan::reconstruct(Arena, Key.Sig, Key.N));
-  } else {
-    if (!Key.Canonical)
-      PlanCounters::global().onLegacyWait();
-    G = isComplex(Pred, Syms) ? globalize(Arena, Pred, Syms, Locals) : Pred;
-  }
-  CanonicalPredicate CP = canonicalizePredicate(Arena, G, Cfg.Limits);
-  if (CP.D.isTrue()) // Canonicalization may prove it (x >= x).
-    return true;
-  AUTOSYNCH_CHECK(!CP.D.isFalse(),
-                  "waituntil on an unsatisfiable predicate would never "
-                  "return");
-  AUTOSYNCH_CHECK(!Key.Canonical || CP.Expr == Key.Canonical,
-                  "ground plan diverged from its canonical form");
-  R = lookupOrRegister(CP.Expr, std::move(CP.D));
-  if (Key.Sig) {
-    SigKey K;
-    K.E.assign(Key.Sig, Key.Sig + Key.N);
-    auto [Slot, Inserted] = BindTable.emplace(std::move(K), R);
-    AUTOSYNCH_CHECK(Inserted, "cold bind raced an existing signature");
-    R->SigAliases.push_back(&Slot->first.E);
+  // A hit goes straight to the record: no interning, no allocation. A
+  // miss registers from the signature's entries.
+  bool Hit;
+  Record *R = lookupOrRegister(Sig, N, Hit);
+  if (Key.PlanBind) {
+    if (Hit) {
+      ++Stats.PlanBindHits;
+      PlanCounters::global().onBindHit();
+    } else {
+      ++Stats.PlanColdBinds;
+      PlanCounters::global().onColdBind();
+    }
   }
   return waitOnRecord(R, TW);
 }

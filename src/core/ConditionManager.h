@@ -49,8 +49,8 @@
 ///    record with the newest version among its read set whenever it
 ///    evaluates false, and later checks answer "still false" without
 ///    running the bytecode while that stamp is current
-///    (Stats.StampShortCircuits). Stamps are discarded on (re)activation,
-///    and eviction destroys the record with its stamp, so cache churn can
+///    (Stats.StampShortCircuits). Stamps are discarded on (re)activation
+///    and on re-registration of a recycled record, so cache churn can
 ///    never resurrect a stale proof.
 ///
 /// All member functions require the monitor lock to be held by the caller
@@ -92,15 +92,16 @@
 #include "core/PhaseTimers.h"
 #include "expr/Bytecode.h"
 #include "expr/Env.h"
+#include "expr/SigEntry.h"
 #include "expr/SymbolTable.h"
 #include "expr/VarSet.h"
-#include "plan/WaitPlan.h"
 #include "sync/Counters.h"
 #include "tag/TagIndex.h"
 #include "time/CancelToken.h"
 #include "time/FallbackTicker.h"
 #include "time/TimerWheel.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -131,9 +132,10 @@ struct ManagerStats {
   uint64_t Registrations = 0; ///< Predicates added to the table.
   uint64_t CacheReuses = 0;   ///< Predicates revived from the inactive cache.
   uint64_t Evictions = 0;     ///< Predicates evicted from the cache.
-  uint64_t PlanBindHits = 0;  ///< Plan signatures served by the bind table.
-  uint64_t PlanColdBinds = 0; ///< Plan signatures missing from the bind
-                              ///< table (rebuilt and registered).
+  uint64_t PlanBindHits = 0;  ///< Slotted-plan signatures that found
+                              ///< their record in the predicate table.
+  uint64_t PlanColdBinds = 0; ///< Slotted-plan signatures that did not
+                              ///< (registered from the signature).
   TagSearchStats Search;      ///< Relay search work; records pruned by
                               ///< read-set intersection with the dirty set
                               ///< count in Search.FilteredExprs.
@@ -206,24 +208,26 @@ public:
   ConditionManager(const ConditionManager &) = delete;
   ConditionManager &operator=(const ConditionManager &) = delete;
 
-  /// What a blocking wait is keyed by in the manager's tables: the
-  /// canonical form of a Ground plan (predicate table), a resolved plan
-  /// signature (bind table, WaitPlan::resolve status Resolved), or nothing
+  /// What a blocking wait is keyed by in the predicate table: the
+  /// signature of a Ground plan (computed at plan build), a Slotted plan's
+  /// resolved signature (WaitPlan::resolve status Resolved; \p PlanBind
+  /// set, so the lookup counts as a bind hit or a cold bind), or nothing
   /// (shapes without a plan key and key overflow).
   struct WaitKey {
-    ExprRef Canonical = nullptr;
     const SigEntry *Sig = nullptr;
     size_t N = 0;
+    bool PlanBind = false;
   };
 
   /// Blocks the calling thread until \p Pred (which may mention local
   /// variables bound in \p Locals) holds; the Tagged/LinearScan wait of
   /// the paper's Fig. 6. The caller has already checked that \p Pred is
-  /// false right now. A \p Key that hits its table goes straight to the
-  /// record — zero interning, zero allocation. Every miss runs one tail:
-  /// rebuild the ground predicate from the signature (or globalize \p Pred
-  /// over \p Locals, §4.1), canonicalize, register, and alias the
-  /// signature to the record.
+  /// false right now. A \p Key that hits the table goes straight to the
+  /// record — zero interning, zero allocation — and a key that misses
+  /// registers its record straight from the signature's entries. Without
+  /// a key, \p Pred is globalized over \p Locals (§4.1) and canonicalized,
+  /// and its signature (signatureOf) is looked up or registered the same
+  /// way.
   ///
   /// Monitor lock must be held; it is released while blocked and re-held on
   /// return. Fatal error if the predicate is canonically unsatisfiable
@@ -301,10 +305,13 @@ private:
   static constexpr size_t InvalidPos = static_cast<size_t>(-1);
 
   /// One registered (globalized, canonicalized) predicate (declared at
-  /// the top of the class so TimedWait can point at it).
+  /// the top of the class so TimedWait can point at it). Everything but
+  /// the condition variable is rebuilt from the signature on registration;
+  /// evicted records are recycled whole (see Spare).
   struct Record {
-    ExprRef Canonical = nullptr;
-    Dnf D;
+    /// The predicate's finished signature: its identity, and the storage
+    /// the table's key views.
+    std::vector<SigEntry> Sig;
     std::vector<Tag> Tags;
     std::unique_ptr<sync::Condition> Cond;
     CompiledPredicate Code;
@@ -333,55 +340,34 @@ private:
     size_t ActiveIdx = InvalidPos;
     /// Intrusive position in the tag index's None list (see TagIndex).
     size_t NoneIdx = InvalidPos;
-    /// Plan-signature aliases resolving to this record: pointers to the
-    /// owning BindTable keys (stable: unordered_map nodes do not move),
-    /// used to erase the aliases on eviction without a second copy of
-    /// each signature.
-    std::vector<const std::vector<SigEntry> *> SigAliases;
   };
 
-  /// Owned plan-signature key (cold path); lookups use SigView.
-  struct SigKey {
-    std::vector<SigEntry> E;
-  };
+  /// A table key: a view of the owning record's Sig.
   struct SigView {
     const SigEntry *P;
     size_t N;
   };
   struct SigHash {
-    using is_transparent = void;
-    size_t operator()(const SigKey &K) const {
-      return hash(K.E.data(), K.E.size());
-    }
-    size_t operator()(const SigView &V) const { return hash(V.P, V.N); }
-    static size_t hash(const SigEntry *P, size_t N);
+    size_t operator()(const SigView &V) const;
   };
   struct SigEq {
-    using is_transparent = void;
-    static bool eq(const SigEntry *A, size_t NA, const SigEntry *B,
-                   size_t NB) {
-      if (NA != NB)
-        return false;
-      for (size_t I = 0; I != NA; ++I)
-        if (!(A[I] == B[I]))
-          return false;
-      return true;
-    }
-    bool operator()(const SigKey &A, const SigKey &B) const {
-      return eq(A.E.data(), A.E.size(), B.E.data(), B.E.size());
-    }
-    bool operator()(const SigKey &A, const SigView &B) const {
-      return eq(A.E.data(), A.E.size(), B.P, B.N);
-    }
-    bool operator()(const SigView &A, const SigKey &B) const {
-      return eq(A.P, A.N, B.E.data(), B.E.size());
+    bool operator()(const SigView &A, const SigView &B) const {
+      return A.N == B.N && std::equal(A.P, A.P + A.N, B.P);
     }
   };
+  using RecordTable =
+      std::unordered_map<SigView, std::unique_ptr<Record>, SigHash, SigEq>;
 
   /// Parks \p R in the inactive queue for reuse or eventual eviction.
   void park(Record *R);
 
-  Record *lookupOrRegister(ExprRef Canonical, Dnf D);
+  /// The record keyed by signature \p Sig (\p N entries), registered on a
+  /// miss; \p Hit tells which. A hit on a parked record counts as a
+  /// cache reuse.
+  Record *lookupOrRegister(const SigEntry *Sig, size_t N, bool &Hit);
+  /// Registers the predicate \p Sig denotes (absent from the table): a
+  /// recycled record when one is spare. Starts parked.
+  Record *registerRecord(const SigEntry *Sig, size_t N);
   void activate(Record *R);
   void deactivate(Record *R);
   void evictIfNeeded();
@@ -427,13 +413,21 @@ private:
   MonitorConfig Cfg;
   PhaseTimers Timers;
 
-  /// Predicate table (§5.2): canonical predicate -> record. Pointer keys
-  /// work because canonical predicates are interned.
-  std::unordered_map<ExprRef, std::unique_ptr<Record>> Table;
+  /// Predicate table (§5.2): signature -> record, for every route to a
+  /// record (plan binds, Ground plans, keyless waits, registerPredicate).
+  /// Equal signatures are syntax-equivalent ground predicates.
+  RecordTable Table;
 
-  /// Plan-bind table: resolved plan signature -> record. The steady-state
-  /// complex-predicate path; entries are aliases into Table's records.
-  std::unordered_map<SigKey, Record *, SigHash, SigEq> BindTable;
+  /// Evicted records, still owned by their table nodes, recycled whole by
+  /// registerRecord: node, vector capacities, and condition variable.
+  /// Nothing here is destroyed before the manager itself: a deferred
+  /// wakeup (Monitor::exit signals after the unlock) may still be in
+  /// flight for a record whose waiter already resumed — consuming the
+  /// pending-signal accounting and allowing eviction — so destroying the
+  /// condvar there would race the signal. Keeping it instead makes the
+  /// late signal a legal spurious wakeup for whichever predicate reuses
+  /// the record.
+  std::vector<RecordTable::node_type> Spare;
 
   /// Tag indices (Tagged policy).
   TagIndex<Record> Index;
@@ -445,15 +439,6 @@ private:
   /// Inactive cache in parking order. Each record appears at most once
   /// (Record::InQueue); revived records are skipped lazily on eviction.
   std::deque<Record *> InactiveQueue;
-
-  /// Condition variables of evicted records. Never destroyed before the
-  /// manager itself: a deferred wakeup (Monitor::exit signals after the
-  /// unlock) may still be in flight for a record whose waiter already
-  /// resumed — consuming the pending-signal accounting and allowing
-  /// eviction — so destroying the condvar there would race the signal.
-  /// Parking it instead makes the late signal a legal spurious wakeup for
-  /// whichever record reuses it.
-  std::vector<std::unique_ptr<sync::Condition>> CondPool;
 
   /// Broadcast policy state.
   std::unique_ptr<sync::Condition> BroadcastCond;

@@ -147,11 +147,13 @@ bool Monitor::dispatchWait(ExprRef Pred, const Env &Locals, bool Edsl,
   SigEntry Sig[WaitPlan::MaxSigEntries];
   ConditionManager::WaitKey Key;
   if (K == WaitPlan::Kind::Ground) {
-    Key.Canonical = Plan->canonical().Expr;
+    Key.Sig = Plan->signature().data();
+    Key.N = Plan->signature().size();
   } else if (K == WaitPlan::Kind::Slotted) {
     switch (Plan->resolve(Bound, Sig, Key.N)) {
     case WaitPlan::ResolveStatus::Resolved:
       Key.Sig = Sig;
+      Key.PlanBind = true;
       break;
     case WaitPlan::ResolveStatus::True:
       // "True under any shared state" contradicts the fast check above;

@@ -335,3 +335,128 @@ CanonicalPredicate autosynch::canonicalizePredicate(ExprArena &Arena,
   P.Expr = dnfToExpr(Arena, P.D);
   return P;
 }
+
+//===----------------------------------------------------------------------===//
+// Signatures
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Orders opaque \p Atom against the atom `E.P op E.K` that resolved entry
+/// \p E denotes, as structuralCompare would order the two expressions.
+int compareAtomToResolved(ExprRef Atom, const SigEntry &E) {
+  if (Atom->kind() != E.op())
+    return Atom->kind() < E.op() ? -1 : 1;
+  if (int C = structuralCompare(Atom->lhs(), E.P))
+    return C;
+  ExprRef Rhs = Atom->rhs();
+  if (Rhs->kind() != ExprKind::IntLit)
+    return 1; // IntLit is the least kind.
+  if (Rhs->intValue() != E.K)
+    return Rhs->intValue() < E.K ? -1 : 1;
+  return -1; // Same structure, different encoding: opaque first.
+}
+
+/// The structural order of the atoms two non-separator entries denote.
+int compareSigEntries(const SigEntry &A, const SigEntry &B) {
+  if (A == B)
+    return 0;
+  if (A.isOpaque())
+    return B.isOpaque() ? structuralCompare(A.P, B.P)
+                        : compareAtomToResolved(A.P, B);
+  if (B.isOpaque())
+    return -compareAtomToResolved(B.P, A);
+  if (A.op() != B.op())
+    return A.op() < B.op() ? -1 : 1;
+  if (int C = structuralCompare(A.P, B.P))
+    return C;
+  return A.K < B.K ? -1 : 1;
+}
+
+bool sigEntryLess(const SigEntry &A, const SigEntry &B) {
+  return compareSigEntries(A, B) < 0;
+}
+
+} // namespace
+
+size_t autosynch::finishSignature(SigEntry *Entries, SigSegment *Segs,
+                                  size_t NumSegs, SigEntry *Out) {
+  // Segments are a handful of entries and conjunctions: insertion sorts,
+  // no allocation.
+  for (size_t S = 0; S != NumSegs; ++S) {
+    SigEntry *B = Entries + Segs[S].Begin, *E = Entries + Segs[S].End;
+    for (SigEntry *I = B + (B != E); I < E; ++I)
+      for (SigEntry *J = I; J > B && sigEntryLess(*J, J[-1]); --J)
+        std::swap(*J, J[-1]);
+    Segs[S].End = Segs[S].Begin + (std::unique(B, E) - B);
+  }
+
+  auto Len = [](const SigSegment &S) { return S.End - S.Begin; };
+  auto At = [Entries](const SigSegment &S, size_t I) {
+    return Entries[S.Begin + I];
+  };
+  auto SegLess = [&](const SigSegment &A, const SigSegment &B) {
+    size_t L = std::min(Len(A), Len(B));
+    for (size_t I = 0; I != L; ++I)
+      if (int C = compareSigEntries(At(A, I), At(B, I)))
+        return C < 0;
+    return Len(A) < Len(B);
+  };
+  auto SegEqual = [&](const SigSegment &A, const SigSegment &B) {
+    return Len(A) == Len(B) &&
+           std::equal(Entries + A.Begin, Entries + A.End,
+                      Entries + B.Begin);
+  };
+  // A properly subsets B (both sorted): B implies A and is redundant.
+  auto ProperSubset = [&](const SigSegment &A, const SigSegment &B) {
+    return Len(A) < Len(B) &&
+           std::includes(Entries + B.Begin, Entries + B.End,
+                         Entries + A.Begin, Entries + A.End, sigEntryLess);
+  };
+  for (size_t I = 1; I < NumSegs; ++I)
+    for (size_t J = I; J > 0 && SegLess(Segs[J], Segs[J - 1]); --J)
+      std::swap(Segs[J], Segs[J - 1]);
+  NumSegs = std::unique(Segs, Segs + NumSegs, SegEqual) - Segs;
+
+  size_t N = 0;
+  for (size_t I = 0; I != NumSegs; ++I) {
+    bool Subsumed = false;
+    for (size_t J = 0; J != NumSegs && !Subsumed; ++J)
+      Subsumed = J != I && ProperSubset(Segs[J], Segs[I]);
+    if (Subsumed)
+      continue;
+    Out = std::copy(Entries + Segs[I].Begin, Entries + Segs[I].End, Out);
+    *Out++ = SigEntry::separator();
+    N += Len(Segs[I]) + 1;
+  }
+  return N;
+}
+
+std::vector<SigEntry> autosynch::signatureOf(const Dnf &D) {
+  AUTOSYNCH_CHECK(!D.isTrue() && !D.isFalse(),
+                  "constant predicates have no signature");
+  std::vector<SigEntry> Entries;
+  std::vector<SigSegment> Segs;
+  for (const Conjunction &C : D.Conjs) {
+    size_t Begin = Entries.size();
+    for (ExprRef Atom : C.Atoms) {
+      // A canonical comparison reproduces itself; anything the atom
+      // canonicalizer leaves alone stays opaque.
+      AtomCanonResult R = canonicalizeAtom(Atom);
+      if (R.Kind != AtomCanonKind::Atom) {
+        Entries.push_back(SigEntry::opaque(Atom));
+        continue;
+      }
+      AUTOSYNCH_CHECK(Atom->kind() == R.Atom.Op &&
+                          Atom->rhs()->kind() == ExprKind::IntLit &&
+                          Atom->rhs()->intValue() == R.Atom.Rhs,
+                      "signatureOf requires a canonical predicate");
+      Entries.push_back(SigEntry::resolved(Atom->lhs(), R.Atom.Op, R.Atom.Rhs));
+    }
+    Segs.push_back({Begin, Entries.size()});
+  }
+  std::vector<SigEntry> Out(Entries.size() + Segs.size());
+  Out.resize(finishSignature(Entries.data(), Segs.data(), Segs.size(),
+                             Out.data()));
+  return Out;
+}

@@ -17,8 +17,9 @@
 ///    -> per-atom canonicalization (dnf/CanonicalAtom.h)
 ///    -> conjunction-level simplification (contradiction pruning,
 ///       duplicate and subsumed conjunction removal)
-///    -> a canonical, interned predicate expression (the predicate-table
-///       key giving the paper's "syntax equivalence", §5.2).
+///    -> a canonical, interned predicate expression;
+///    -> its flat signature (expr/SigEntry.h), the predicate-table key
+///       giving the paper's "syntax equivalence" (§5.2).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +27,9 @@
 #define AUTOSYNCH_DNF_DNF_H
 
 #include "expr/ExprArena.h"
+#include "expr/SigEntry.h"
 
+#include <cstddef>
 #include <vector>
 
 namespace autosynch {
@@ -87,6 +90,30 @@ struct CanonicalPredicate {
 /// Canonicalizes globalized, bool-typed \p E.
 CanonicalPredicate canonicalizePredicate(ExprArena &Arena, ExprRef E,
                                          DnfLimits Limits = {});
+
+/// One conjunction's run of entries, [Begin, End), in a signature under
+/// construction (no separators inside).
+struct SigSegment {
+  size_t Begin = 0;
+  size_t End = 0;
+};
+
+/// The finishing step every route to a signature shares, so one ground
+/// predicate gets one key however it was built: sorts each segment's
+/// entries into the order structuralCompare gives the atoms they denote
+/// (canonicalizePredicate's atom order) and drops duplicates, then sorts
+/// the segments lexicographically and drops duplicate and subsumed ones.
+/// Writes the separator-terminated result to \p Out, which must hold the
+/// total segment length plus \p NumSegs entries and must not alias
+/// \p Entries, and returns its length. \p Entries and \p Segs are
+/// reordered in place.
+size_t finishSignature(SigEntry *Entries, SigSegment *Segs, size_t NumSegs,
+                       SigEntry *Out);
+
+/// The signature of canonical \p D (a canonicalizePredicate result that is
+/// neither true nor false): canonical comparisons become resolved entries,
+/// every other atom an opaque one. No size cap.
+std::vector<SigEntry> signatureOf(const Dnf &D);
 
 } // namespace autosynch
 

@@ -28,7 +28,58 @@ public:
     P.MaxStack = MaxDepth;
   }
 
+  void compileSignature(const SigEntry *Sig, size_t N) {
+    AUTOSYNCH_CHECK(N > 0 && Sig[N - 1].isSeparator(),
+                    "signature not separator-terminated");
+    // Pending short-circuit jumps are chained through their (not yet
+    // patched) targets: one chain per conjunction, one for the program.
+    uint32_t AndChain = NoJump, OrChain = NoJump;
+    bool AtConjStart = true;
+    for (size_t I = 0; I != N; ++I) {
+      const SigEntry &E = Sig[I];
+      if (E.isSeparator()) {
+        AUTOSYNCH_CHECK(!AtConjStart, "empty conjunction in a signature");
+        patch(AndChain, P.Code.size());
+        AtConjStart = true;
+        continue;
+      }
+      if (!AtConjStart)
+        emitShortCircuit(OpCode::JumpFalsePeek, AndChain);
+      else if (I != 0)
+        emitShortCircuit(OpCode::JumpTruePeek, OrChain);
+      AtConjStart = false;
+      emitExpr(E.P);
+      if (!E.isOpaque()) {
+        emitPush(E.K);
+        emitBinary(E.op());
+      }
+    }
+    patch(OrChain, P.Code.size());
+    P.ResultType = TypeKind::Bool;
+    P.MaxStack = MaxDepth;
+  }
+
 private:
+  static constexpr uint32_t NoJump = UINT32_MAX;
+
+  /// Emits a short-circuit test of the value on top of the stack whose
+  /// target joins \p Chain, then pops the value for the next operand.
+  void emitShortCircuit(OpCode Jump, uint32_t &Chain) {
+    emit({Jump, Chain, 0});
+    Chain = static_cast<uint32_t>(P.Code.size() - 1);
+    emit({OpCode::Pop, 0, 0});
+    pop();
+  }
+
+  /// Points every jump on \p Chain at \p Target.
+  void patch(uint32_t &Chain, size_t Target) {
+    while (Chain != NoJump) {
+      uint32_t Next = P.Code[Chain].A;
+      P.Code[Chain].A = static_cast<uint32_t>(Target);
+      Chain = Next;
+    }
+  }
+
   void emitExpr(ExprRef E) {
     switch (E->kind()) {
     case ExprKind::IntLit:
@@ -77,8 +128,13 @@ private:
 
     emitExpr(E->lhs());
     emitExpr(E->rhs());
+    emitBinary(E->kind());
+  }
+
+  /// Emits the binary operator \p K over the two values on top.
+  void emitBinary(ExprKind K) {
     OpCode Op;
-    switch (E->kind()) {
+    switch (K) {
     case ExprKind::Add:
       Op = OpCode::Add;
       break;
@@ -152,6 +208,13 @@ CompiledPredicate CompiledPredicate::compile(ExprRef E,
   CompiledPredicate P;
   Compiler(P, &Resolve).compile(E);
   return P;
+}
+
+void CompiledPredicate::compileSignature(const SigEntry *Sig, size_t N,
+                                         const VarResolver &Resolve,
+                                         CompiledPredicate &Out) {
+  Out.Code.clear(); // Keeps the capacity: recycled records recompile here.
+  Compiler(Out, &Resolve).compileSignature(Sig, N);
 }
 
 //===----------------------------------------------------------------------===//

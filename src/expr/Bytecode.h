@@ -28,6 +28,7 @@
 
 #include "expr/Env.h"
 #include "expr/Expr.h"
+#include "expr/SigEntry.h"
 
 #include <functional>
 #include <vector>
@@ -60,6 +61,16 @@ public:
   /// Compiles \p E as a slot program: every variable is resolved through
   /// \p Resolve once, at compile time. Run with runRaw.
   static CompiledPredicate compile(ExprRef E, const VarResolver &Resolve);
+
+  /// Compiles the predicate signature \p Sig (\p N entries; no empty
+  /// conjunction) denotes into \p Out as a slot program, reusing Out's
+  /// storage. The code is what compiling the canonical expression would
+  /// give — atoms and conjunctions evaluated in signature order, && and
+  /// || short-circuiting — with each short-circuit jumping straight to
+  /// the end of its conjunction or of the program.
+  static void compileSignature(const SigEntry *Sig, size_t N,
+                               const VarResolver &Resolve,
+                               CompiledPredicate &Out);
 
   bool valid() const { return !Code.empty(); }
 

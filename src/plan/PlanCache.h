@@ -45,8 +45,8 @@ struct PlanCacheStats {
 struct PlanCountersSnapshot {
   uint64_t ShapeBuilds = 0;
   uint64_t ShapeHits = 0;
-  uint64_t BindHits = 0;   ///< Signature lookups served by the bind table.
-  uint64_t ColdBinds = 0;  ///< Signatures resolved through the cold path.
+  uint64_t BindHits = 0;   ///< Resolved signatures found in the table.
+  uint64_t ColdBinds = 0;  ///< Resolved signatures registered anew.
   uint64_t LegacyWaits = 0;///< Blocking waits registered without a key.
 
   PlanCountersSnapshot operator-(const PlanCountersSnapshot &R) const {

@@ -47,78 +47,71 @@ void census(ExprRef E, const SymbolTable &Syms, ScopeCensus &Out) {
     census(E->operand(I), Syms, Out);
 }
 
-bool sigEntryLess(const SigEntry &A, const SigEntry &B) {
-  if (A.P != B.P)
-    return A.P < B.P;
-  if (A.Tag != B.Tag)
-    return A.Tag < B.Tag;
-  return A.K < B.K;
-}
-
 /// Interval tracker replicating dnf/Dnf.cpp's BoundsTracker over resolved
-/// keys, with fixed-size storage (pruning is skipped, never invented, when
-/// a cap is hit — dropping a conjunction must stay provably sound).
+/// keys in fixed storage. Exact: build() caps a conjunction at
+/// MaxAtomsPerConj atoms and each atom is recorded at most once, so the
+/// storage never runs out.
 class BindBounds {
 public:
   /// Returns false when the conjunction became unsatisfiable.
-  bool record(const void *Expr, ExprKind Op, int64_t K) {
-    Entry *E = find(Expr);
-    if (!E)
-      return true; // Out of tracking slots: skip pruning, keep the atom.
+  bool record(ExprRef Expr, ExprKind Op, int64_t K) {
+    Entry &E = find(Expr);
     switch (Op) {
     case ExprKind::Eq:
-      if (E->HasEq && E->Eq != K)
+      if (E.HasEq && E.Eq != K)
         return false;
-      E->HasEq = true;
-      E->Eq = K;
+      E.HasEq = true;
+      E.Eq = K;
       break;
     case ExprKind::Ne:
-      if (E->NeCount < MaxNe)
-        E->Ne[E->NeCount++] = K;
+      AUTOSYNCH_CHECK(NumNe != Cap, "more atoms than build() admits");
+      Ne[NumNe++] = {Expr, K};
       break;
     case ExprKind::Le:
-      if (!E->HasHi || K < E->Hi) {
-        E->HasHi = true;
-        E->Hi = K;
+      if (!E.HasHi || K < E.Hi) {
+        E.HasHi = true;
+        E.Hi = K;
       }
       break;
     case ExprKind::Ge:
-      if (!E->HasLo || K > E->Lo) {
-        E->HasLo = true;
-        E->Lo = K;
+      if (!E.HasLo || K > E.Lo) {
+        E.HasLo = true;
+        E.Lo = K;
       }
       break;
     default:
       AUTOSYNCH_UNREACHABLE("non-canonical op in BindBounds");
     }
-    return satisfiable(*E);
+    return satisfiable(E);
   }
 
 private:
-  static constexpr size_t MaxExprs = 16;
-  static constexpr unsigned MaxNe = 8;
+  static constexpr size_t Cap = WaitPlan::MaxAtomsPerConj;
 
+  // No default member initializers: the arrays stay uninitialized and
+  // find() sets every field of an entry it hands out.
   struct Entry {
-    const void *Expr = nullptr;
-    bool HasLo = false, HasHi = false, HasEq = false;
-    int64_t Lo = 0, Hi = 0, Eq = 0;
-    int64_t Ne[MaxNe];
-    unsigned NeCount = 0;
+    ExprRef Expr;
+    bool HasLo, HasHi, HasEq;
+    int64_t Lo, Hi, Eq;
+  };
+  struct NeAtom {
+    ExprRef Expr;
+    int64_t K;
   };
 
-  Entry *find(const void *Expr) {
+  Entry &find(ExprRef Expr) {
     for (size_t I = 0; I != Count; ++I)
       if (Entries[I].Expr == Expr)
-        return &Entries[I];
-    if (Count == MaxExprs)
-      return nullptr;
-    Entries[Count].Expr = Expr;
-    return &Entries[Count++];
+        return Entries[I];
+    AUTOSYNCH_CHECK(Count != Cap, "more atoms than build() admits");
+    Entries[Count] = {Expr, false, false, false, 0, 0, 0};
+    return Entries[Count++];
   }
 
-  bool hasNe(const Entry &E, int64_t K) const {
-    for (unsigned I = 0; I != E.NeCount; ++I)
-      if (E.Ne[I] == K)
+  bool hasNe(ExprRef Expr, int64_t K) const {
+    for (size_t I = 0; I != NumNe; ++I)
+      if (Ne[I].Expr == Expr && Ne[I].K == K)
         return true;
     return false;
   }
@@ -131,16 +124,18 @@ private:
         return false;
       if (E.HasHi && E.Eq > E.Hi)
         return false;
-      if (hasNe(E, E.Eq))
+      if (hasNe(E.Expr, E.Eq))
         return false;
     }
-    if (E.HasLo && E.HasHi && E.Lo == E.Hi && hasNe(E, E.Lo))
+    if (E.HasLo && E.HasHi && E.Lo == E.Hi && hasNe(E.Expr, E.Lo))
       return false;
     return true;
   }
 
-  Entry Entries[MaxExprs];
+  Entry Entries[Cap];
+  NeAtom Ne[Cap];
   size_t Count = 0;
+  size_t NumNe = 0;
 };
 
 } // namespace
@@ -315,8 +310,8 @@ bool WaitPlan::lowerConjunction(ExprArena &Arena, const SymbolTable &Syms,
     CT.Atoms.push_back(std::move(T));
   }
 
-  if (CT.Atoms.size() > 32)
-    return false; // Signature buffers are fixed-size.
+  if (CT.Atoms.size() > MaxAtomsPerConj)
+    return false; // Signature and bound buffers are fixed-size.
   Conjs.push_back(std::move(CT));
   return true;
 }
@@ -358,6 +353,7 @@ std::unique_ptr<WaitPlan> WaitPlan::build(ExprArena &Arena,
 
   if (P->Slots.empty()) {
     P->K = Kind::Ground;
+    P->GroundSig = signatureOf(P->CP.D);
     P->Code = CompiledPredicate::compile(P->CP.Expr, Resolver);
     return P;
   }
@@ -417,10 +413,7 @@ WaitPlan::ResolveStatus WaitPlan::resolve(const Value *Bound, SigEntry *Buf,
   };
 
   SigEntry Tmp[MaxSigEntries];
-  struct Segment {
-    size_t Begin, End;
-  };
-  Segment Segs[MaxConjs];
+  SigSegment Segs[MaxConjs];
   size_t NumSegs = 0;
   size_t Used = 0;
 
@@ -508,23 +501,6 @@ WaitPlan::ResolveStatus WaitPlan::resolve(const Value *Bound, SigEntry *Buf,
       return ResolveStatus::True;
     }
 
-    // Canonical entry order within the conjunction (insertion sort: the
-    // arrays are tiny) plus duplicate removal.
-    for (size_t I = Begin + 1; I < Used; ++I) {
-      SigEntry E = Tmp[I];
-      size_t J = I;
-      while (J > Begin && sigEntryLess(E, Tmp[J - 1])) {
-        Tmp[J] = Tmp[J - 1];
-        --J;
-      }
-      Tmp[J] = E;
-    }
-    size_t W = Begin;
-    for (size_t I = Begin; I < Used; ++I)
-      if (I == Begin || !(Tmp[I] == Tmp[W - 1]))
-        Tmp[W++] = Tmp[I];
-    Used = W;
-
     AUTOSYNCH_CHECK(NumSegs < MaxConjs, "conjunction count exceeds the cap "
                                         "build() enforces");
     Segs[NumSegs++] = {Begin, Used};
@@ -535,67 +511,6 @@ WaitPlan::ResolveStatus WaitPlan::resolve(const Value *Bound, SigEntry *Buf,
     return ResolveStatus::False;
   }
 
-  // Canonical conjunction order: sort the segments lexicographically and
-  // drop duplicates. (Subsumption is left to the cold path's full
-  // canonicalization; it only affects which alias maps to the record.)
-  auto segLess = [&](const Segment &A, const Segment &B) {
-    size_t LA = A.End - A.Begin, LB = B.End - B.Begin;
-    size_t L = LA < LB ? LA : LB;
-    for (size_t I = 0; I != L; ++I) {
-      if (sigEntryLess(Tmp[A.Begin + I], Tmp[B.Begin + I]))
-        return true;
-      if (sigEntryLess(Tmp[B.Begin + I], Tmp[A.Begin + I]))
-        return false;
-    }
-    return LA < LB;
-  };
-  auto segEqual = [&](const Segment &A, const Segment &B) {
-    if (A.End - A.Begin != B.End - B.Begin)
-      return false;
-    for (size_t I = 0; I != A.End - A.Begin; ++I)
-      if (!(Tmp[A.Begin + I] == Tmp[B.Begin + I]))
-        return false;
-    return true;
-  };
-  for (size_t I = 1; I < NumSegs; ++I) {
-    Segment S = Segs[I];
-    size_t J = I;
-    while (J > 0 && segLess(S, Segs[J - 1])) {
-      Segs[J] = Segs[J - 1];
-      --J;
-    }
-    Segs[J] = S;
-  }
-
-  N = 0;
-  for (size_t I = 0; I != NumSegs; ++I) {
-    if (I > 0 && segEqual(Segs[I], Segs[I - 1]))
-      continue;
-    for (size_t E = Segs[I].Begin; E != Segs[I].End; ++E)
-      Buf[N++] = Tmp[E];
-    Buf[N++] = SigEntry::separator();
-  }
+  N = finishSignature(Tmp, Segs, NumSegs, Buf);
   return ResolveStatus::Resolved;
-}
-
-Dnf WaitPlan::reconstruct(ExprArena &Arena, const SigEntry *Sig, size_t N) {
-  Dnf D;
-  Conjunction C;
-  for (size_t I = 0; I != N; ++I) {
-    const SigEntry &E = Sig[I];
-    if (E.isSeparator()) {
-      D.Conjs.push_back(std::move(C));
-      C = Conjunction{};
-      continue;
-    }
-    ExprRef Atom;
-    if (E.Tag == SigEntry::Opaque)
-      Atom = static_cast<ExprRef>(E.P);
-    else
-      Atom = Arena.binary(E.op(), static_cast<ExprRef>(E.P),
-                          Arena.intLit(E.K));
-    C.Atoms.push_back(Atom);
-  }
-  AUTOSYNCH_CHECK(C.Atoms.empty(), "signature not separator-terminated");
-  return D;
 }

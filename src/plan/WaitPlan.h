@@ -24,20 +24,21 @@
 /// A steady-state waitUntil then *binds* current local values into the
 /// cached plan: evaluate each key form (O(#locals) integer arithmetic),
 /// drop conjunctions whose guards fail, and emit a flat, stack-allocated
-/// *signature* — the ground canonical form of the globalized predicate,
-/// expressed as (interned shared-expression, op, key) triples. The
-/// condition manager resolves signatures to predicate records through a
-/// hash table with heterogeneous lookup, so the whole hit path performs
-/// zero arena interning and zero heap allocation.
+/// *signature* (expr/SigEntry.h) — the ground canonical form of the
+/// globalized predicate, expressed as (interned shared-expression, op,
+/// key) triples. The condition manager keys every predicate record by its
+/// signature, so the whole hit path performs zero arena interning and zero
+/// heap allocation, and a signature it has not seen is registered straight
+/// from its entries — no expression is rebuilt and nothing is
+/// canonicalized again.
 ///
-/// Exactness is never load-bearing: a signature the manager has not seen
-/// is reconstructed into an expression and re-canonicalized through the
-/// ordinary dnf/ pipeline, unifying with records registered by any other
-/// route (eager registration, keyless waits, other shapes). The bind
-/// path only ever prunes conjunctions it can prove false (guard failure,
-/// divisibility, interval contradiction — the same rules the ground
-/// canonicalizer applies after substitution), so plans are semantically
-/// transparent.
+/// Resolution applies the ground canonicalizer's rules to the bound keys
+/// (guard failure, divisibility, interval contradiction) and finishes
+/// with the same step as signatureOf (dnf/Dnf.h): canonical entry order,
+/// duplicate removal, subsumption. The signature of a binding therefore
+/// equals the signature of the globalized, canonicalized predicate, and
+/// a binding meets records registered by any other route (eager
+/// registration, keyless waits, Ground plans, other shapes).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +47,7 @@
 
 #include "dnf/Dnf.h"
 #include "expr/Bytecode.h"
+#include "expr/SigEntry.h"
 #include "expr/SymbolTable.h"
 #include "expr/VarSet.h"
 
@@ -53,32 +55,6 @@
 #include <vector>
 
 namespace autosynch {
-
-/// One entry of a resolved plan signature. A signature is a flat array of
-/// entries: resolved atoms grouped into conjunction segments, each segment
-/// terminated by a Separator entry. Entries compare bitwise.
-struct SigEntry {
-  /// Separator / opaque-atom / resolved-comparison discriminator. Values
-  /// >= OpBase encode the comparison ExprKind of a resolved atom.
-  enum : uint64_t { Separator = 0, Opaque = 1, OpBase = 2 };
-
-  const void *P = nullptr; ///< Interned shared expression (or whole atom).
-  uint64_t Tag = Separator;
-  int64_t K = 0;
-
-  static SigEntry separator() { return SigEntry{}; }
-  static SigEntry opaque(ExprRef Atom) { return {Atom, Opaque, 0}; }
-  static SigEntry resolved(ExprRef Shared, ExprKind Op, int64_t K) {
-    return {Shared, OpBase + static_cast<uint64_t>(Op), K};
-  }
-
-  bool isSeparator() const { return Tag == Separator; }
-  ExprKind op() const { return static_cast<ExprKind>(Tag - OpBase); }
-
-  bool operator==(const SigEntry &R) const {
-    return P == R.P && Tag == R.Tag && K == R.K;
-  }
-};
 
 /// A parameterized wait plan for one predicate shape.
 class WaitPlan {
@@ -105,6 +81,7 @@ public:
   /// (build() enforces them, so resolution never overflows).
   static constexpr size_t MaxSlots = 16;
   static constexpr size_t MaxConjs = 24;
+  static constexpr size_t MaxAtomsPerConj = 32;
   static constexpr size_t MaxSigEntries = 96;
 
   /// Outcome of resolving a binding into a signature.
@@ -132,6 +109,10 @@ public:
   /// Ground plans this is the finished ground canonical form.
   const CanonicalPredicate &canonical() const { return CP; }
 
+  /// A Ground plan's signature, computed once at build time: the key its
+  /// every blocking wait looks its record up by.
+  const std::vector<SigEntry> &signature() const { return GroundSig; }
+
   /// Slot program evaluating the canonical predicate over (shared slots,
   /// bound locals); the allocation-free fast-path check.
   const CompiledPredicate &code() const { return Code; }
@@ -151,10 +132,6 @@ public:
   /// MaxSigEntries entries; \p N receives the entry count (including the
   /// per-conjunction separators).
   ResolveStatus resolve(const Value *Bound, SigEntry *Buf, size_t &N) const;
-
-  /// Rebuilds the ground DNF a signature denotes (cold path: the result is
-  /// re-canonicalized by the caller to unify with the predicate table).
-  static Dnf reconstruct(ExprArena &Arena, const SigEntry *Sig, size_t N);
 
 private:
   WaitPlan() = default;
@@ -198,6 +175,7 @@ private:
   Kind K = Kind::Legacy;
   ExprRef Shape = nullptr;
   CanonicalPredicate CP;
+  std::vector<SigEntry> GroundSig;
   VarSet ReadSet;
   std::vector<Slot> Slots;
   std::vector<ConjTemplate> Conjs;

@@ -14,9 +14,10 @@
 /// tag prunes the search space hardest.
 ///
 /// Because registration happens after globalization and canonicalization,
-/// the tagged atoms here have the shape `linear-shared-expr op constant`;
-/// boolean shared variables `b` / `!b` are tagged as equivalences with keys
-/// 1 / 0.
+/// the tagged atoms here have the shape `linear-shared-expr op constant` —
+/// a registered record's tags are read straight off the resolved entries
+/// of its signature (expr/SigEntry.h); boolean shared variables `b` / `!b`
+/// are tagged as equivalences with keys 1 / 0.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 #define AUTOSYNCH_TAG_TAG_H
 
 #include "dnf/Dnf.h"
+#include "expr/SigEntry.h"
 #include "expr/SymbolTable.h"
 
 #include <cstdint>
@@ -72,6 +74,12 @@ Tag deriveTag(ExprArena &Arena, const Conjunction &C,
 /// once per distinct tag).
 std::vector<Tag> deriveTags(ExprArena &Arena, const Dnf &D,
                             const SymbolTable &Syms);
+
+/// The same derivation over the signature \p Sig (\p N entries, as
+/// finishSignature leaves it): one tag per conjunction segment, in entry
+/// order, deduplicated, written to \p Out (its storage is reused).
+void deriveTags(const SigEntry *Sig, size_t N, const SymbolTable &Syms,
+                std::vector<Tag> &Out);
 
 } // namespace autosynch
 

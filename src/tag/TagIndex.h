@@ -41,6 +41,14 @@ namespace autosynch {
 /// skip whole groups whose cover cannot intersect the caller's dirty set.
 /// The cover is not shrunk on remove (stale bits only widen the scan,
 /// never lose one) and dies with the group when its last tag is removed.
+///
+/// An equivalence bucket emptied by remove is not freed: it joins a few
+/// spare buckets (hash node and vector capacity) that the next adds
+/// needing a new bucket re-key, so a record that deactivates and another
+/// that activates under a fresh key allocate nothing. A few spares, not
+/// one per key seen: keys may never repeat. An emptied per-expression
+/// group is recycled the same way (one spare), and each threshold heap
+/// keeps its own spare node (ThresholdHeap::remove).
 template <typename RecordT> class TagIndex {
 public:
   static constexpr size_t InvalidPos = static_cast<size_t>(-1);
@@ -58,7 +66,17 @@ public:
     PerExpr &P = byExpr(T.SharedExpr);
     P.Cover.unionWith(R->ReadSet);
     if (T.Kind == TagKind::Equivalence) {
-      P.Eq[T.Key].push_back(R);
+      auto BucketIt = P.Eq.find(T.Key);
+      if (BucketIt == P.Eq.end()) {
+        if (NumSpareBuckets == 0) {
+          BucketIt = P.Eq.try_emplace(T.Key).first;
+        } else {
+          auto &Spare = SpareBuckets[--NumSpareBuckets];
+          Spare.key() = T.Key;
+          BucketIt = P.Eq.insert(std::move(Spare)).position;
+        }
+      }
+      BucketIt->second.push_back(R);
       return;
     }
     heapFor(P, T).add(T.Key, isStrictOp(T.Op), R);
@@ -90,13 +108,21 @@ public:
                       "removing an unregistered record");
       *Pos = Bucket.back();
       Bucket.pop_back();
-      if (Bucket.empty())
-        P.Eq.erase(BucketIt);
+      if (Bucket.empty()) {
+        if (NumSpareBuckets != MaxSpareBuckets)
+          SpareBuckets[NumSpareBuckets++] = P.Eq.extract(BucketIt);
+        else
+          P.Eq.erase(BucketIt);
+      }
     } else {
       heapFor(P, T).remove(T.Key, isStrictOp(T.Op), R);
     }
-    if (P.Eq.empty() && P.LowerBound.empty() && P.UpperBound.empty())
-      Exprs.erase(ExprIt);
+    if (P.Eq.empty() && P.LowerBound.empty() && P.UpperBound.empty()) {
+      if (SpareExpr.empty())
+        SpareExpr = Exprs.extract(ExprIt);
+      else
+        Exprs.erase(ExprIt);
+    }
   }
 
   /// Searches for a record whose predicate is true.
@@ -172,11 +198,13 @@ public:
   bool empty() const { return Exprs.empty() && NoneList.empty(); }
 
 private:
+  using EqMap = std::unordered_map<int64_t, std::vector<RecordT *>>;
+
   struct PerExpr {
     /// Union of the read sets of every record added under this expression
     /// (grows only; see class comment).
     VarSet Cover;
-    std::unordered_map<int64_t, std::vector<RecordT *>> Eq;
+    EqMap Eq;
     ThresholdHeap<RecordT> LowerBound{
         ThresholdHeap<RecordT>::Direction::LowerBound};
     ThresholdHeap<RecordT> UpperBound{
@@ -197,10 +225,26 @@ private:
     return isLowerBoundOp(T.Op) ? P.LowerBound : P.UpperBound;
   }
 
-  PerExpr &byExpr(ExprRef SharedExpr) { return Exprs[SharedExpr]; }
+  PerExpr &byExpr(ExprRef SharedExpr) {
+    if (auto It = Exprs.find(SharedExpr); It != Exprs.end())
+      return It->second;
+    if (SpareExpr.empty())
+      return Exprs[SharedExpr];
+    SpareExpr.key() = SharedExpr;
+    SpareExpr.mapped().Cover.clear(); // The group's cover dies with it.
+    return Exprs.insert(std::move(SpareExpr)).position->second;
+  }
 
-  std::unordered_map<ExprRef, PerExpr> Exprs;
+  using ExprMap = std::unordered_map<ExprRef, PerExpr>;
+
+  ExprMap Exprs;
   std::vector<RecordT *> NoneList;
+  /// Recycled equivalence buckets and per-expression group (see class
+  /// comment).
+  static constexpr size_t MaxSpareBuckets = 4;
+  typename EqMap::node_type SpareBuckets[MaxSpareBuckets];
+  size_t NumSpareBuckets = 0;
+  typename ExprMap::node_type SpareExpr;
 };
 
 } // namespace autosynch

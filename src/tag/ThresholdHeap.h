@@ -80,9 +80,16 @@ public:
 
   /// Registers \p R under tag (\p Key, \p Strict).
   void add(int64_t Key, bool Strict, RecordT *R) {
-    auto [It, Inserted] = Nodes.try_emplace(std::make_pair(Key, Strict));
-    if (Inserted) {
-      It->second = std::make_unique<Node>();
+    auto It = Nodes.find(std::make_pair(Key, Strict));
+    if (It == Nodes.end()) {
+      if (SpareNode.empty()) {
+        It = Nodes.emplace(std::make_pair(Key, Strict),
+                           std::make_unique<Node>())
+                 .first;
+      } else {
+        SpareNode.key() = std::make_pair(Key, Strict);
+        It = Nodes.insert(std::move(SpareNode)).position;
+      }
       It->second->Key = Key;
       It->second->Strict = Strict;
       pushNode(It->second.get());
@@ -92,7 +99,9 @@ public:
 
   /// Unregisters \p R from tag (\p Key, \p Strict). When the tag's last
   /// record goes away the node is removed too (§5.2: "A threshold tag also
-  /// needs to be removed once it has no predicate").
+  /// needs to be removed once it has no predicate"); the heap keeps it as
+  /// its one spare node, re-keyed by the next add of a new tag, so churn
+  /// under never-repeating keys allocates nothing.
   void remove(int64_t Key, bool Strict, RecordT *R) {
     auto It = Nodes.find(std::make_pair(Key, Strict));
     AUTOSYNCH_CHECK(It != Nodes.end(), "removing an unregistered tag");
@@ -152,6 +161,8 @@ private:
     std::vector<RecordT *> Records;
   };
 
+  using NodeMap = std::map<std::pair<int64_t, bool>, std::unique_ptr<Node>>;
+
   /// Whether tag (`expr op key`) holds for `expr == SharedVal`.
   bool tagTrue(int64_t SharedVal, const Node &N) const {
     if (Dir == Direction::LowerBound)
@@ -188,9 +199,7 @@ private:
   /// Removes \p It's node from both the map and the heap vector (linear
   /// scan + re-heapify; the node count is the number of distinct keys,
   /// which stays small).
-  void eraseNode(
-      typename std::map<std::pair<int64_t, bool>,
-                        std::unique_ptr<Node>>::iterator It) {
+  void eraseNode(typename NodeMap::iterator It) {
     Node *N = It->second.get();
     auto Pos = std::find(Heap.begin(), Heap.end(), N);
     AUTOSYNCH_CHECK(Pos != Heap.end(), "node missing from the heap");
@@ -200,12 +209,18 @@ private:
                    [this](const Node *A, const Node *B) {
                      return lowerPriority(A, B);
                    });
-    Nodes.erase(It);
+    if (SpareNode.empty())
+      SpareNode = Nodes.extract(It);
+    else
+      Nodes.erase(It);
   }
 
   Direction Dir;
   std::vector<Node *> Heap;
-  std::map<std::pair<int64_t, bool>, std::unique_ptr<Node>> Nodes;
+  NodeMap Nodes;
+  /// An erased node kept for reuse (see remove); empty or holding a node
+  /// with no records.
+  typename NodeMap::node_type SpareNode;
 };
 
 } // namespace autosynch

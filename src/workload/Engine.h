@@ -95,7 +95,7 @@ struct ScenarioReport {
   /// Sync-layer event deltas over the run (process-wide).
   sync::CountersSnapshot Sync;
   /// Wait-plan cache deltas over the run (process-wide): how the
-  /// monitors' blocking waits were served (bind-table hits vs. cold
+  /// monitors' blocking waits were served (plan bind hits vs. cold
   /// binds vs. keyless registrations).
   PlanCountersSnapshot Plan;
   /// Dirty-set relay deltas over the run (process-wide): skipped relays,

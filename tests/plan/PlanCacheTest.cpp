@@ -8,16 +8,18 @@
 // The WaitPlan cache: one plan per predicate *shape*, bound per call with
 // the thread's local values. Covered here: shape reuse across distinct
 // values (both front ends), allocation-freedom of the steady-state bind
-// path, unification with records registered through other routes, the
-// interaction with the inactive cache's eviction limit, waits that
-// register without a plan key (Legacy shapes and key overflow), fatal
-// unsatisfiable bindings under every policy, and a differential run
-// against the Broadcast policy, which registers nothing.
+// path, cold binds that register without touching the arena, unification
+// with records registered through other routes, the tag a cold bind's
+// record carries, the interaction with the inactive cache's eviction
+// limit, waits that register without a plan key (Legacy shapes and key
+// overflow), fatal unsatisfiable bindings under every policy, and a
+// differential run against the Broadcast policy, which registers nothing.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 #include "core/Monitor.h"
+#include "expr/Eval.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -115,7 +117,7 @@ TEST(PlanCacheTest, RepeatedBindingsHitWithoutArenaGrowth) {
     blockedWithdraw(M, 5, [&](int64_t V) { M.withdrawParsed(V); });
 
   // The steady-state bind path interns nothing: same shape, same
-  // signature, record found in the bind table.
+  // signature, record found by its signature.
   EXPECT_EQ(M.arena().numNodes(), NodesWarm);
   const ManagerStats &S = M.conditionManager().stats();
   EXPECT_EQ(S.PlanBindHits, 8u);
@@ -174,8 +176,8 @@ TEST(PlanCacheTest, FrontEndsUnifyOnOneRecord) {
 }
 
 TEST(PlanCacheTest, BindHitsRecordCacheReuse) {
-  // A bind-table hit on a parked record must count as a cache reuse,
-  // exactly like a predicate-table hit on a keyless wait.
+  // A bind hit on a parked record must count as a cache reuse, exactly
+  // like a table hit on a keyless wait.
   PoolMonitor M;
   blockedWithdraw(M, 4, [&](int64_t V) { M.withdrawParsed(V); });
   uint64_t ReusesBefore = M.conditionManager().stats().CacheReuses;
@@ -189,7 +191,7 @@ TEST(PlanCacheTest, EvictionDropsBindAliasesAndStaysBounded) {
   PoolMonitor M(Cfg);
 
   // 32 distinct bound values: far past the limit. Eviction must keep the
-  // table bounded and drop each evicted record's signature alias.
+  // table bounded and drop each evicted record's signature key.
   for (int64_t N = 1; N <= 32; ++N)
     blockedWithdraw(M, N, [&](int64_t V) { M.withdrawParsed(V); });
 
@@ -198,11 +200,141 @@ TEST(PlanCacheTest, EvictionDropsBindAliasesAndStaysBounded) {
   EXPECT_GE(M.conditionManager().stats().Evictions, 20u);
 
   // An evicted binding must come back cleanly (fresh cold bind, fresh
-  // record), not resolve through a dangling alias.
+  // record), not resolve through a stale key.
   uint64_t ColdBefore = M.conditionManager().stats().PlanColdBinds;
   blockedWithdraw(M, 1, [&](int64_t V) { M.withdrawParsed(V); });
   EXPECT_GT(M.conditionManager().stats().PlanColdBinds, ColdBefore);
   EXPECT_EQ(M.level(), 0);
+}
+
+TEST(PlanCacheTest, ColdBindsLeaveTheArenaAlone) {
+  // Never-repeating bound values: every blocking wait is a cold bind that
+  // registers a new predicate. The record is built straight from the
+  // resolved signature, so once the shape is warm no wait interns a node,
+  // and evicted records are recycled for the next registration.
+  MonitorConfig Cfg;
+  Cfg.InactiveCacheLimit = 4;
+  PoolMonitor M(Cfg);
+  blockedWithdraw(M, 1000, [&](int64_t V) { M.withdrawParsed(V); });
+  size_t NodesWarm = M.arena().numNodes();
+  M.conditionManager().resetStats();
+
+  for (int64_t N = 1; N <= 200; ++N)
+    blockedWithdraw(M, N, [&](int64_t V) { M.withdrawParsed(V); });
+
+  EXPECT_EQ(M.arena().numNodes(), NodesWarm);
+  const ManagerStats &S = M.conditionManager().stats();
+  EXPECT_EQ(S.Registrations, 200u);
+  EXPECT_EQ(S.PlanColdBinds, 200u);
+  EXPECT_EQ(S.PlanBindHits, 0u);
+  EXPECT_GE(S.Evictions, 196u);
+  EXPECT_LE(M.conditionManager().numRegistered(), 5u);
+  EXPECT_EQ(M.level(), 0);
+}
+
+TEST(PlanCacheTest, KeylessBoundAndEagerRoutesShareOneRecord) {
+  // `count >= 5` reached three ways: eager registration, a Slotted bind of
+  // `count >= m`, and a keyless wait on the Legacy shape `count * n >= cap`
+  // (globalized to `count * 1 >= 5`, canonicalized to `count >= 5`). All
+  // three key the predicate table by the same signature.
+  class Routes : public Monitor {
+  public:
+    Routes() { registerPredicate("count >= 5"); }
+    void waitKeyless() {
+      Region R(*this);
+      waitUntil("count * n >= cap",
+                locals().bindInt(local("n"), 1).bindInt(local("cap"), 5));
+    }
+    void waitBound() {
+      Region R(*this);
+      waitUntil("count >= m", locals().bindInt(local("m"), 5));
+    }
+    void bump() {
+      Region R(*this);
+      Count += 5;
+    }
+    AUTOSYNCH_TEST_WAITER_PROBE()
+    using Monitor::conditionManager;
+    using Monitor::planCache;
+
+  private:
+    Shared<int64_t> Count{*this, "count", 0};
+  };
+
+  Routes M;
+  EXPECT_EQ(M.conditionManager().numRegistered(), 1u);
+  PlanCountersSnapshot Before = PlanCounters::global().snapshot();
+  std::thread A([&] { M.waitKeyless(); });
+  awaitWaiters(M, 1);
+  std::thread B([&] { M.waitBound(); });
+  awaitWaiters(M, 2);
+  M.bump();
+  A.join();
+  B.join();
+
+  PlanCountersSnapshot Delta = PlanCounters::global().snapshot() - Before;
+  EXPECT_EQ(M.planCache().stats().LegacyShapes, 1u);
+  EXPECT_EQ(Delta.LegacyWaits, 1u);
+  const ManagerStats &S = M.conditionManager().stats();
+  EXPECT_EQ(S.Registrations, 1u);
+  EXPECT_EQ(S.PlanBindHits, 1u);
+  EXPECT_EQ(S.PlanColdBinds, 0u);
+  EXPECT_EQ(M.conditionManager().numRegistered(), 1u);
+  EXPECT_EQ(M.conditionManager().numWaiters(), 0);
+}
+
+TEST(PlanCacheTest, ColdBindTagsTheTicketEquivalence) {
+  // The tickets shape: three equivalence atoms, only one of them (on
+  // `serving`, the lowest VarId, so first in canonical order) keyed by
+  // the never-repeating local. Records built from the signature must tag
+  // that atom: each winning relay then finds its one record in the
+  // `serving` bucket with a single predicate check. A tag on
+  // `activeWriters == 0` would put all waiters in one bucket.
+  class Tickets : public Monitor {
+  public:
+    void take(int64_t Ticket) {
+      Region R(*this);
+      waitUntil("serving == t && activeWriters == 0 && activeReaders == 0",
+                locals().bindInt(local("t"), Ticket));
+      Serving += 1;
+    }
+    void open() {
+      Region R(*this);
+      Serving = 1;
+    }
+    AUTOSYNCH_TEST_WAITER_PROBE()
+    using Monitor::conditionManager;
+
+  private:
+    Shared<int64_t> Serving{*this, "serving", 0};
+    Shared<int64_t> ActiveWriters{*this, "activeWriters", 0};
+    Shared<int64_t> ActiveReaders{*this, "activeReaders", 0};
+  };
+
+  constexpr int Waiters = 10;
+  Tickets M;
+  std::vector<std::thread> Pool;
+  // Park the highest ticket first, so a bucket shared by every waiter
+  // would be scanned from the wrong end.
+  for (int64_t T = Waiters; T >= 1; --T) {
+    Pool.emplace_back([&M, T] { M.take(T); });
+    awaitWaiters(M, Waiters - static_cast<int>(T) + 1);
+  }
+  EXPECT_EQ(M.conditionManager().stats().Registrations,
+            static_cast<uint64_t>(Waiters));
+  M.conditionManager().resetStats();
+  uint64_t Evals0 = predicateEvalCount();
+  M.open();
+  for (auto &T : Pool)
+    T.join();
+
+  const ManagerStats &S = M.conditionManager().stats();
+  EXPECT_EQ(S.SignalsSent, static_cast<uint64_t>(Waiters));
+  // Evaluations besides the relays' reads of `serving`: one predicate
+  // check per winning relay, plus each woken waiter's own re-check.
+  EXPECT_EQ(predicateEvalCount() - Evals0 - S.Search.SharedExprEvals,
+            2u * Waiters);
+  EXPECT_EQ(M.conditionManager().numWaiters(), 0);
 }
 
 TEST(PlanCacheTest, GroundParsedPredicatePlansOnce) {

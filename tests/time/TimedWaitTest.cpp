@@ -167,8 +167,9 @@ TEST(TimedWaitTest, RepeatTimedWaitsHitThePlanCache) {
   TimedCell M; // Default: Tagged/Std, plan cache on.
   for (int I = 0; I != 4; ++I)
     EXPECT_FALSE(M.awaitAtLeastParsed(50 + I, 10ms));
-  // One shape, four bindings: the timed path must ride the bind table
-  // (allocation-free steady state), not a keyless registration.
+  // One shape, four bindings: the timed path must ride the plan's
+  // signatures (allocation-free steady state), not a keyless
+  // registration.
   EXPECT_GE(M.stats().PlanBindHits + M.stats().PlanColdBinds, 4u);
   EXPECT_GE(M.stats().Timeouts, 4u);
 }
