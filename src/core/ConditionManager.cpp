@@ -291,13 +291,15 @@ ConditionManager::taggedFindTrue(const VarSet &Dirty) {
   return Index.findTrue(
       [&](ExprRef SharedExpr) { return eval(SharedExpr, SharedEnv).raw(); },
       [&](Record *R) {
+        // The index counts every call as a predicate check.
         if (R->ExpiredWaiters >= R->Waiters) {
           // Mid-scan retirement of expired records: answer "not a
-          // winner" without touching the record's predicate or stamp.
+          // winner" without touching the record's predicate or stamp —
+          // a skip, not a check.
           ++Stats.Search.ExpiredSkips;
+          --Stats.Search.PredicateChecks;
           return false;
         }
-        ++Stats.Search.PredicateChecks;
         return recordTrue(R);
       },
       &Stats.Search, &Dirty);

@@ -85,8 +85,8 @@ void Monitor::exit() {
 // waituntil
 //===----------------------------------------------------------------------===//
 
-bool Monitor::waitUntilImpl(ExprRef Pred, const Env &Locals, bool Edsl,
-                            ParseEntry *Entry, const TimedSpec &TS) {
+bool Monitor::waitUntilImpl(const Env &Locals, ParseEntry *Entry,
+                            const EdslWait *Edsl, const TimedSpec &TS) {
   AUTOSYNCH_CHECK(ownedByCaller(), "waitUntil outside the monitor");
   AUTOSYNCH_CHECK(Depth == 1,
                   "waitUntil from a nested monitor region would deadlock");
@@ -99,49 +99,68 @@ bool Monitor::waitUntilImpl(ExprRef Pred, const Env &Locals, bool Edsl,
   // (and unbalance exit()). We checked Depth == 1 above, so restoring to
   // 1 is exact.
   Owner.store(std::thread::id(), std::memory_order_relaxed);
-  bool Satisfied = dispatchWait(Pred, Locals, Edsl, Entry, TS);
+  bool Satisfied = dispatchWait(Locals, Entry, Edsl, TS);
   Owner.store(Me, std::memory_order_relaxed);
   Depth = 1;
   return Satisfied;
 }
 
-bool Monitor::dispatchWait(ExprRef Pred, const Env &Locals, bool Edsl,
-                           ParseEntry *Entry, const TimedSpec &TS) {
+const WaitPlan *Monitor::sitePlan(const EdslWait &W) {
+  if (const WaitPlan *Plan = Plans.findSite(W.Key))
+    return Plan;
+  ExprRef Skeleton = W.Build(W.Expr, Arena, &Plans);
+  return Plans.addSite(W.Key, Skeleton, W.NumBound, Cfg.Limits);
+}
+
+bool Monitor::dispatchWait(const Env &Locals, ParseEntry *Entry,
+                           const EdslWait *Edsl, const TimedSpec &TS) {
+  ExprRef Pred = Entry ? Entry->Expr : nullptr;
   Value Bound[WaitPlan::MaxSlots];
-  size_t NumBound = 0;
+  const Value *Slot = Bound;
   const WaitPlan *Plan;
   if (Edsl) {
-    Plan = Plans.forEdsl(Pred, Cfg.Limits, Bound, NumBound);
-  } else if (Entry && Entry->Plan) {
-    Plan = Entry->Plan; // Memoized on the parse-cache entry.
+    // Slots come straight from the template's literals.
+    Plan = Edsl->Keyed ? sitePlan(*Edsl) : nullptr;
+    Slot = Edsl->Bound;
   } else {
-    Plan = Plans.forShape(Pred, Cfg.Limits);
-    if (Entry)
-      Entry->Plan = Plan;
+    if (!Entry->Plan) // Memoized on the parse-cache entry.
+      Entry->Plan = Plans.forShape(Pred, Cfg.Limits);
+    Plan = Entry->Plan;
   }
   // Shapes beyond the planner (mixed non-linear atoms, slot overflow) and
   // the canonically-true ones wait without a plan key.
-  const WaitPlan::Kind K = Plan ? Plan->kind() : WaitPlan::Kind::Legacy;
-  const bool Planned =
-      K == WaitPlan::Kind::Ground || K == WaitPlan::Kind::Slotted;
+  WaitPlan::Kind K = Plan ? Plan->kind() : WaitPlan::Kind::Legacy;
+  bool Planned = K == WaitPlan::Kind::Ground || K == WaitPlan::Kind::Slotted;
   // Checked before any policy's wait: Broadcast registers nothing, so it
   // would otherwise block forever.
   constexpr const char *Unsat =
       "waituntil on an unsatisfiable predicate would never return";
   AUTOSYNCH_CHECK(K != WaitPlan::Kind::Unsatisfiable, Unsat);
 
-  if (K == WaitPlan::Kind::Slotted) {
-    if (!Edsl)
-      Plan->bindFromEnv(Locals, Bound);
-    else
-      AUTOSYNCH_CHECK(NumBound == Plan->slots().size(),
-                      "EDSL binding count diverged from the plan");
-  }
+  if (K == WaitPlan::Kind::Slotted && !Edsl)
+    Plan->bindFromEnv(Locals, Bound);
   // Fast path: already true (Fig. 6 checks P first) — the plan's
-  // allocation-free compiled check, or a tree walk for keyless shapes.
-  if (Planned ? Plan->code().runRawBool(Slots.data(), Bound)
-              : evalBool(Pred, OverlayEnv(Locals, SharedSlots)))
+  // allocation-free compiled check, or a direct evaluation for keyless
+  // shapes.
+  bool Holds = Planned ? Plan->code().runRawBool(Slots.data(), Slot)
+               : Edsl  ? Edsl->Holds(Edsl->Expr, Slots.data())
+                       : evalBool(Pred, OverlayEnv(Locals, SharedSlots));
+  if (Holds)
     return true;
+
+  // Blocking from here on. A keyless EDSL wait plans its concrete tree —
+  // a Ground plan per distinct predicate, as the parsed front end would
+  // plan it written with its values inlined.
+  auto Concrete = [&] {
+    if (!Pred)
+      Pred = Edsl->Build(Edsl->Expr, Arena, nullptr);
+    return Pred;
+  };
+  if (Edsl && !Planned) {
+    Plan = Plans.forShape(Concrete(), Cfg.Limits);
+    K = Plan->kind();
+    AUTOSYNCH_CHECK(K != WaitPlan::Kind::Unsatisfiable, Unsat);
+  }
 
   // Declared only now: the already-true path pays nothing for the buffer.
   SigEntry Sig[WaitPlan::MaxSigEntries];
@@ -150,7 +169,7 @@ bool Monitor::dispatchWait(ExprRef Pred, const Env &Locals, bool Edsl,
     Key.Sig = Plan->signature().data();
     Key.N = Plan->signature().size();
   } else if (K == WaitPlan::Kind::Slotted) {
-    switch (Plan->resolve(Bound, Sig, Key.N)) {
+    switch (Plan->resolve(Slot, Sig, Key.N)) {
     case WaitPlan::ResolveStatus::Resolved:
       Key.Sig = Sig;
       Key.PlanBind = true;
@@ -172,109 +191,52 @@ bool Monitor::dispatchWait(ExprRef Pred, const Env &Locals, bool Edsl,
   }
 
   // One bound set-up for every policy and key; the deadline is read only
-  // now that the wait blocks.
+  // now that the wait blocks. Broadcast re-evaluates, and a keyless wait
+  // registers, the predicate tree itself.
   ConditionManager::TimedWait TW(TS.timed() ? TS.deadlineNs() : 0, TS.Token);
   ConditionManager::TimedWait *TWP = TS.timed() ? &TW : nullptr;
   if (Cfg.Policy == SignalPolicy::Broadcast)
-    return Mgr.awaitBroadcast(Pred, Locals, TWP);
-  return Mgr.await(Pred, Locals, Key, TWP);
-}
-
-void Monitor::waitUntil(const ExprHandle &P) {
-  AUTOSYNCH_CHECK(&P.arena() == &Arena,
-                  "predicate built against a different monitor");
-  AUTOSYNCH_CHECK(P.type() == TypeKind::Bool,
-                  "waitUntil requires a bool predicate");
-  waitUntilImpl(P.ref(), EmptyEnv::instance(), /*Edsl=*/true, nullptr,
-                TimedSpec());
+    return Mgr.awaitBroadcast(Concrete(), Locals, TWP);
+  return Mgr.await(Key.Sig ? Pred : Concrete(), Locals, Key, TWP);
 }
 
 void Monitor::waitUntil(std::string_view Pred) {
-  ParseEntry &E = parseCached(Pred);
-  waitUntilImpl(E.Expr, EmptyEnv::instance(), /*Edsl=*/false, &E,
+  waitUntilImpl(EmptyEnv::instance(), &parseCached(Pred), nullptr,
                 TimedSpec());
 }
 
 void Monitor::waitUntil(std::string_view Pred, const MapEnv &Locals) {
-  ParseEntry &E = parseCached(Pred);
-  waitUntilImpl(E.Expr, Locals, /*Edsl=*/false, &E, TimedSpec());
+  waitUntilImpl(Locals, &parseCached(Pred), nullptr, TimedSpec());
 }
 
 //===----------------------------------------------------------------------===//
 // Timed and cancellable waits
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-Monitor::TimedSpec specFor(std::chrono::nanoseconds Timeout,
-                           time::CancelToken *Token) {
-  Monitor::TimedSpec TS;
-  TS.K = Monitor::TimedSpec::Kind::For;
-  TS.Ns = Timeout.count() <= 0 ? 0
-                               : static_cast<uint64_t>(Timeout.count());
-  TS.Token = Token;
-  return TS;
-}
-
-Monitor::TimedSpec specBy(time::Deadline D, time::CancelToken *Token) {
-  Monitor::TimedSpec TS;
-  TS.K = Monitor::TimedSpec::Kind::By;
-  TS.Ns = D.Ns;
-  TS.Token = Token;
-  return TS;
-}
-
-} // namespace
-
-bool Monitor::waitUntilFor(const ExprHandle &P,
-                           std::chrono::nanoseconds Timeout,
-                           time::CancelToken *Token) {
-  AUTOSYNCH_CHECK(&P.arena() == &Arena,
-                  "predicate built against a different monitor");
-  AUTOSYNCH_CHECK(P.type() == TypeKind::Bool,
-                  "waitUntilFor requires a bool predicate");
-  return waitUntilImpl(P.ref(), EmptyEnv::instance(), /*Edsl=*/true,
-                       nullptr, specFor(Timeout, Token));
-}
-
 bool Monitor::waitUntilFor(std::string_view Pred,
                            std::chrono::nanoseconds Timeout,
                            time::CancelToken *Token) {
-  ParseEntry &E = parseCached(Pred);
-  return waitUntilImpl(E.Expr, EmptyEnv::instance(), /*Edsl=*/false, &E,
-                       specFor(Timeout, Token));
+  return waitUntilImpl(EmptyEnv::instance(), &parseCached(Pred), nullptr,
+                       TimedSpec::forTimeout(Timeout, Token));
 }
 
 bool Monitor::waitUntilFor(std::string_view Pred, const MapEnv &Locals,
                            std::chrono::nanoseconds Timeout,
                            time::CancelToken *Token) {
-  ParseEntry &E = parseCached(Pred);
-  return waitUntilImpl(E.Expr, Locals, /*Edsl=*/false, &E,
-                       specFor(Timeout, Token));
-}
-
-bool Monitor::waitUntilBy(const ExprHandle &P, time::Deadline D,
-                          time::CancelToken *Token) {
-  AUTOSYNCH_CHECK(&P.arena() == &Arena,
-                  "predicate built against a different monitor");
-  AUTOSYNCH_CHECK(P.type() == TypeKind::Bool,
-                  "waitUntilBy requires a bool predicate");
-  return waitUntilImpl(P.ref(), EmptyEnv::instance(), /*Edsl=*/true,
-                       nullptr, specBy(D, Token));
+  return waitUntilImpl(Locals, &parseCached(Pred), nullptr,
+                       TimedSpec::forTimeout(Timeout, Token));
 }
 
 bool Monitor::waitUntilBy(std::string_view Pred, time::Deadline D,
                           time::CancelToken *Token) {
-  ParseEntry &E = parseCached(Pred);
-  return waitUntilImpl(E.Expr, EmptyEnv::instance(), /*Edsl=*/false, &E,
-                       specBy(D, Token));
+  return waitUntilImpl(EmptyEnv::instance(), &parseCached(Pred), nullptr,
+                       TimedSpec::byDeadline(D, Token));
 }
 
 bool Monitor::waitUntilBy(std::string_view Pred, const MapEnv &Locals,
                           time::Deadline D, time::CancelToken *Token) {
-  ParseEntry &E = parseCached(Pred);
-  return waitUntilImpl(E.Expr, Locals, /*Edsl=*/false, &E,
-                       specBy(D, Token));
+  return waitUntilImpl(Locals, &parseCached(Pred), nullptr,
+                       TimedSpec::byDeadline(D, Token));
 }
 
 Monitor::ParseEntry &Monitor::parseCached(std::string_view Pred) {

@@ -36,8 +36,15 @@
 /// \endcode
 ///
 /// Two predicate front ends with identical behaviour:
-///  * the EDSL (expression templates over Shared<T>): local values are
-///    baked in as literals — globalization done by construction;
+///  * the EDSL (expression templates over Shared<T>, expr/Builder.h):
+///    local values are captured as literals — globalization done by
+///    construction. The template's C++ type is the predicate's shape, so
+///    a wait finds its plan by shape id and key (PlanCache) and fills the
+///    plan's slots straight from the literals: the arena sees a shape once
+///    per key, and a warm wait neither interns nor allocates. Only
+///    blocking waits that carry no plan key (shapes the planner cannot
+///    parameterize, more literals than a plan has slots, key overflow)
+///    and Broadcast's blocking waits build the concrete tree;
 ///  * parsed strings: locals stay symbolic, are parsed once (cached), and
 ///    are globalized per call from the provided bindings — the path the
 ///    autosynchc translator emits.
@@ -53,6 +60,7 @@
 #include "time/CancelToken.h"
 #include "time/Deadline.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -141,11 +149,11 @@ public:
       return *this;
     }
 
-    /// The variable as an EDSL expression.
-    ExprHandle expr() const {
-      return ExprHandle(M.Arena, M.Arena.var(Id, typeKind()));
+    /// The variable as an EDSL expression leaf.
+    edsl::Leaf<std::is_same_v<T, bool> ? TypeKind::Bool : TypeKind::Int>
+    expr() const {
+      return {&M, Id};
     }
-    operator ExprHandle() const { return expr(); }
 
     VarId id() const { return Id; }
 
@@ -192,6 +200,16 @@ public:
     uint64_t Ns = 0; ///< For: relative timeout; By: absolute deadline.
     time::CancelToken *Token = nullptr;
 
+    static TimedSpec forTimeout(std::chrono::nanoseconds Timeout,
+                                time::CancelToken *Token) {
+      return {Kind::For,
+              Timeout.count() <= 0 ? 0 : static_cast<uint64_t>(Timeout.count()),
+              Token};
+    }
+    static TimedSpec byDeadline(time::Deadline D, time::CancelToken *Token) {
+      return {Kind::By, D.Ns, Token};
+    }
+
     bool timed() const { return K != Kind::None; }
     /// The absolute monotonic deadline (clock read only for For).
     uint64_t deadlineNs() const {
@@ -205,8 +223,12 @@ protected:
 
   /// Blocks until the EDSL predicate \p P holds. Must be called inside the
   /// monitor at region depth 1 (a wait from a nested region would deadlock
-  /// and is rejected). Fatal error if \p P is canonically unsatisfiable.
-  void waitUntil(const ExprHandle &P);
+  /// and is rejected). Fatal error if \p P is canonically unsatisfiable or
+  /// mentions another monitor's variables.
+  template <edsl::ExprLike P> void waitUntil(const P &Pred) {
+    EdslFrame F(*this, edsl::toNode(Pred));
+    waitUntilImpl(EmptyEnv::instance(), nullptr, &F.W, TimedSpec());
+  }
 
   /// Blocks until the parsed predicate \p Pred (shared variables only)
   /// holds. The parse is cached per source string.
@@ -235,8 +257,13 @@ protected:
   // impossible one).
 
   /// Bounded wait on an EDSL predicate.
-  bool waitUntilFor(const ExprHandle &P, std::chrono::nanoseconds Timeout,
-                    time::CancelToken *Token = nullptr);
+  template <edsl::ExprLike P>
+  bool waitUntilFor(const P &Pred, std::chrono::nanoseconds Timeout,
+                    time::CancelToken *Token = nullptr) {
+    EdslFrame F(*this, edsl::toNode(Pred));
+    return waitUntilImpl(EmptyEnv::instance(), nullptr, &F.W,
+                         TimedSpec::forTimeout(Timeout, Token));
+  }
 
   /// Bounded wait on a parsed shared-only predicate.
   bool waitUntilFor(std::string_view Pred, std::chrono::nanoseconds Timeout,
@@ -248,8 +275,13 @@ protected:
                     time::CancelToken *Token = nullptr);
 
   /// Deadline wait on an EDSL predicate.
-  bool waitUntilBy(const ExprHandle &P, time::Deadline D,
-                   time::CancelToken *Token = nullptr);
+  template <edsl::ExprLike P>
+  bool waitUntilBy(const P &Pred, time::Deadline D,
+                   time::CancelToken *Token = nullptr) {
+    EdslFrame F(*this, edsl::toNode(Pred));
+    return waitUntilImpl(EmptyEnv::instance(), nullptr, &F.W,
+                         TimedSpec::byDeadline(D, Token));
+  }
 
   /// Deadline wait on a parsed shared-only predicate.
   bool waitUntilBy(std::string_view Pred, time::Deadline D,
@@ -266,10 +298,23 @@ protected:
   /// Fresh, empty local-bindings environment (sugar for call sites).
   static MapEnv locals() { return MapEnv(); }
 
-  /// Integer literal in this monitor's arena (EDSL convenience).
-  ExprHandle lit(int64_t V) { return ExprHandle(Arena, Arena.intLit(V)); }
-  /// Boolean literal in this monitor's arena.
-  ExprHandle blit(bool V) { return ExprHandle(Arena, Arena.boolLit(V)); }
+  /// Integer literal (EDSL convenience: literals are plain values).
+  static constexpr int64_t lit(int64_t V) { return V; }
+  /// Boolean literal.
+  static constexpr bool blit(bool V) { return V; }
+
+  /// The plan a wait on the EDSL predicate \p P binds, with its slot
+  /// values written to \p Bound (at least WaitPlan::MaxSlots entries);
+  /// null for waits that go keyless (more literals than a plan has
+  /// slots). Requires the monitor lock. Introspection for tests.
+  template <edsl::ExprLike P>
+  const WaitPlan *edslPlan(const P &Pred, Value *Bound) {
+    EdslFrame F(*this, edsl::toNode(Pred));
+    if (!F.W.Keyed)
+      return nullptr;
+    std::copy(F.W.Bound, F.W.Bound + F.W.NumBound, Bound);
+    return sitePlan(F.W);
+  }
 
   /// Eagerly registers a shared predicate (paper Fig. 5 registers all
   /// static shared predicates in the constructor). Purely an optimization;
@@ -306,12 +351,82 @@ private:
 
   ParseEntry &parseCached(std::string_view Pred);
 
-  bool waitUntilImpl(ExprRef Pred, const Env &Locals, bool Edsl,
-                     ParseEntry *Entry, const TimedSpec &TS);
+  /// An EDSL wait, type-erased for the out-of-line pipeline: its
+  /// call-site key and slot values as scanned from the template, and
+  /// callbacks over the template for the paths that need more.
+  struct EdslWait {
+    PlanCache::SiteKey Key;
+    /// False when the shape has more literals than a plan has slots (or
+    /// no shape id yet): the wait is keyless, like a Legacy shape's.
+    bool Keyed = false;
+    const Value *Bound = nullptr;
+    size_t NumBound = 0;
+    const void *Expr = nullptr;
+    /// Builds the tree in the arena: the slotted skeleton when a plan
+    /// cache is given (first use of a key), else the concrete predicate.
+    ExprRef (*Build)(const void *Expr, ExprArena &A,
+                     PlanCache *Slots) = nullptr;
+    /// Evaluates the predicate over the shared slots.
+    bool (*Holds)(const void *Expr, const Value *Shared) = nullptr;
+  };
+
+  /// Stack storage for one EDSL wait: scans \p X into its key and slot
+  /// values and checks that every leaf is this monitor's.
+  template <typename E> struct EdslFrame {
+    using T = edsl::Traits<E>;
+    static_assert(T::Type == TypeKind::Bool,
+                  "waitUntil requires a bool predicate");
+
+    E Node;
+    int64_t Words[T::KeyWords + 1];
+    Value Bound[T::Slots + 1];
+    EdslWait W;
+
+    EdslFrame(const Monitor &M, const E &X) : Node(X) {
+      edsl::Scan S{&M, Words, Bound};
+      edsl::scan(Node, S);
+      AUTOSYNCH_CHECK(S.Owned, "predicate built against a different monitor");
+      W.Key = {edsl::ShapeId<E>, Words, T::KeyWords};
+      // Keyless also while the shape id is not yet assigned (static
+      // initialization order).
+      W.Keyed = T::Slots <= WaitPlan::MaxSlots && W.Key.Shape != 0;
+      W.Bound = Bound;
+      W.NumBound = T::Slots;
+      W.Expr = &Node;
+      W.Build = &build;
+      W.Holds = &holds;
+    }
+
+    EdslFrame(const EdslFrame &) = delete;
+    EdslFrame &operator=(const EdslFrame &) = delete;
+
+    static ExprRef build(const void *P, ExprArena &A, PlanCache *Slots) {
+      const E &X = *static_cast<const E *>(P);
+      if (!Slots)
+        return edsl::buildConcrete(X, A);
+      size_t Next[2] = {0, 0}; // Per type: $i0, $i1, ... and $b0, ...
+      auto Slot = [&](Value V) {
+        VarId Id = Slots->slotVar(Next[V.isBool()]++, V.type());
+        return A.var(Id, V.type());
+      };
+      return edsl::build(X, A, Slot);
+    }
+
+    static bool holds(const void *P, const Value *Shared) {
+      return edsl::evaluate(*static_cast<const E *>(P), Shared).asBool();
+    }
+  };
+
+  /// The plan of an EDSL call site; its first use builds the skeleton.
+  const WaitPlan *sitePlan(const EdslWait &W);
+
+  /// Exactly one of \p Entry (parsed) and \p Edsl is set.
+  bool waitUntilImpl(const Env &Locals, ParseEntry *Entry,
+                     const EdslWait *Edsl, const TimedSpec &TS);
   /// Picks the plan, runs the one already-true check, resolves the plan
   /// key, and hands the blocking wait to the policy's entry point.
-  bool dispatchWait(ExprRef Pred, const Env &Locals, bool Edsl,
-                    ParseEntry *Entry, const TimedSpec &TS);
+  bool dispatchWait(const Env &Locals, ParseEntry *Entry,
+                    const EdslWait *Edsl, const TimedSpec &TS);
 
   /// Heterogeneous string hashing so the parse-cache hit path looks up by
   /// string_view without materializing a std::string key.

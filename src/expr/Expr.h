@@ -51,27 +51,27 @@ enum class ExprKind : uint8_t {
   Or
 };
 
-inline bool isLeafKind(ExprKind K) {
+constexpr bool isLeafKind(ExprKind K) {
   return K == ExprKind::IntLit || K == ExprKind::BoolLit || K == ExprKind::Var;
 }
 
-inline bool isUnaryKind(ExprKind K) {
+constexpr bool isUnaryKind(ExprKind K) {
   return K == ExprKind::Neg || K == ExprKind::Not;
 }
 
-inline bool isArithKind(ExprKind K) {
+constexpr bool isArithKind(ExprKind K) {
   return K >= ExprKind::Add && K <= ExprKind::Mod;
 }
 
-inline bool isComparisonKind(ExprKind K) {
+constexpr bool isComparisonKind(ExprKind K) {
   return K >= ExprKind::Eq && K <= ExprKind::Ge;
 }
 
-inline bool isLogicalKind(ExprKind K) {
+constexpr bool isLogicalKind(ExprKind K) {
   return K == ExprKind::And || K == ExprKind::Or;
 }
 
-inline bool isBinaryKind(ExprKind K) {
+constexpr bool isBinaryKind(ExprKind K) {
   return isArithKind(K) || isComparisonKind(K) || isLogicalKind(K);
 }
 

@@ -78,6 +78,7 @@ bool ExprNodeContentEq::operator()(const ExprNode *A,
 }
 
 ExprRef ExprArena::intern(const ExprNode &Candidate) {
+  ++InternCalls;
   auto It = Interned.find(&Candidate);
   if (It != Interned.end())
     return *It;

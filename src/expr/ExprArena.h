@@ -67,8 +67,14 @@ public:
   /// Number of distinct interned nodes.
   size_t numNodes() const { return Nodes.size(); }
 
+  /// Number of interning requests so far, lookups of existing nodes
+  /// included: every node constructor that reached the hash table.
+  uint64_t internCalls() const { return InternCalls; }
+
 private:
   ExprRef intern(const ExprNode &Candidate);
+
+  uint64_t InternCalls = 0;
 
   std::deque<ExprNode> Nodes;
   std::unordered_set<const ExprNode *, ExprNodeContentHash, ExprNodeContentEq>

@@ -9,17 +9,26 @@
 /// The monitor's cache of WaitPlans, keyed by predicate *shape*:
 ///
 ///  * parsed predicates — the interned parse result is the shape (locals
-///    are already symbolic);
-///  * EDSL predicates — literals are abstracted into synthetic Local-scoped
-///    slot variables ("$i0", "$b0", ... by occurrence), so `Count >= 3` and
-///    `Count >= 7` share one shape `count >= $i0` and one plan. Literal
-///    operands of `*`, `/`, and `%` are kept concrete: they are structural
-///    (a slot there would make the atom non-linear and untaggable), and
-///    they are how shapes like `X * 2 >= 96` still canonicalize onto the
-///    same record as `X >= 48`.
+///    are already symbolic); the parse-cache entry memoizes its plan;
+///  * EDSL predicates — a per-call-site table indexed by the expression
+///    template's process-wide shape id (expr/Builder.h). The key is that
+///    id plus the leaves' VarIds plus the structural literal operands of
+///    `*`, `/` and `%`; the other literals are slots, filled per call
+///    straight from the template. So `Count >= 3` and `Count >= 7` find
+///    one plan, while two call sites of one C++ type over different
+///    variables or multipliers find different ones. A key's first use
+///    builds its slotted skeleton (`count >= $i0`, slot variables "$i0",
+///    "$b0", ... by occurrence) in the arena once and plans it like any
+///    shape; every later wait is an array index and a key compare.
+///    Structural literals stay concrete because a slot there would make
+///    the atom non-linear and untaggable, and because they are how
+///    shapes like `X * 2 >= 96` still canonicalize onto the same record
+///    as `X >= 48`.
 ///
 /// The cache is append-only like the parse cache: distinct shapes are
-/// bounded by distinct waituntil call sites, not by data.
+/// bounded by distinct waituntil call sites, not by data — except for EDSL
+/// expressions without a usable skeleton plan, whose blocking waits plan
+/// each distinct concrete predicate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +37,7 @@
 
 #include "plan/WaitPlan.h"
 
+#include <algorithm>
 #include <atomic>
 #include <unordered_map>
 
@@ -37,7 +47,6 @@ namespace autosynch {
 struct PlanCacheStats {
   uint64_t ShapeBuilds = 0;   ///< Plans constructed.
   uint64_t ShapeHits = 0;     ///< Lookups served by a cached plan.
-  uint64_t EdslSkeletons = 0; ///< EDSL predicates abstracted into shapes.
   uint64_t LegacyShapes = 0;  ///< Shapes the planner handed back as Legacy.
 };
 
@@ -95,13 +104,35 @@ public:
   /// predicates). O(1) on repeat shapes.
   const WaitPlan *forShape(ExprRef Shape, const DnfLimits &Limits);
 
-  /// Plan for an EDSL predicate: abstracts literals into slot variables
-  /// and writes their values to \p BoundOut (size >= WaitPlan::MaxSlots)
-  /// in slot order. EDSL shapes that the planner cannot parameterize fall
-  /// back to a Ground plan over \p P itself (EDSL predicates are
-  /// shared-and-literal only, so that is always possible).
-  const WaitPlan *forEdsl(ExprRef P, const DnfLimits &Limits,
-                          Value *BoundOut, size_t &NumBound);
+  /// An EDSL call-site key: the expression type's shape id and the
+  /// key words its scan wrote (their count is fixed by the type).
+  struct SiteKey {
+    uint32_t Shape = 0;
+    const int64_t *Words = nullptr;
+    size_t N = 0;
+  };
+
+  /// The plan of a call site seen before, or null. No arena access.
+  const WaitPlan *findSite(const SiteKey &K) const {
+    if (K.Shape < Sites.size())
+      for (const Site &S : Sites[K.Shape])
+        if (std::equal(S.Words.begin(), S.Words.end(), K.Words))
+          return S.Plan;
+    return nullptr;
+  }
+
+  /// Plans a new call site from its slotted \p Skeleton, which abstracts
+  /// \p NumSlots literals.
+  const WaitPlan *addSite(const SiteKey &K, ExprRef Skeleton,
+                          size_t NumSlots, const DnfLimits &Limits);
+
+  /// Number of distinct EDSL call-site keys.
+  size_t numSites() const {
+    size_t N = 0;
+    for (const std::vector<Site> &S : Sites)
+      N += S.size();
+    return N;
+  }
 
   const PlanCacheStats &stats() const { return Stats; }
   void resetStats() { Stats = PlanCacheStats(); }
@@ -110,16 +141,21 @@ public:
   size_t size() const { return Plans.size(); }
 
   /// The I-th synthetic slot variable of type \p Ty, declared on demand
-  /// (public for the skeleton walker; not part of the monitor-facing API).
+  /// (public for the skeleton builder; not part of the monitor-facing API).
   VarId slotVar(size_t I, TypeKind Ty);
 
 private:
-  const WaitPlan *lookupOrBuild(ExprRef Shape, const DnfLimits &Limits);
-
   ExprArena &Arena;
   SymbolTable &Syms;
   std::unordered_map<ExprRef, std::unique_ptr<WaitPlan>> Plans;
   std::vector<VarId> IntSlotVars, BoolSlotVars;
+
+  struct Site {
+    std::vector<int64_t> Words;
+    const WaitPlan *Plan;
+  };
+  /// EDSL call sites, indexed by shape id.
+  std::vector<std::vector<Site>> Sites;
   PlanCacheStats Stats;
 };
 

@@ -172,4 +172,24 @@ TEST(ConditionManagerTest, TaggedSearchStatsAdvance) {
   EXPECT_GE(S.PredicateChecks, 1u);
 }
 
+TEST(ConditionManagerTest, RelayCountsEachPredicateCheckOnce) {
+  // One parked waiter whose predicate the next exit makes true: the relay
+  // checks exactly one predicate, whether the tag index or the linear scan
+  // finds it.
+  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan}) {
+    SCOPED_TRACE(signalPolicyName(P));
+    MonitorConfig Cfg;
+    Cfg.Policy = P;
+    TurnMonitor M(Cfg);
+    std::thread W([&] { M.awaitTurn(1); });
+    testutil::awaitWaiters(M, 1);
+    M.conditionManager().resetStats();
+    M.advance();
+    W.join();
+    const ManagerStats &S = M.conditionManager().stats();
+    EXPECT_EQ(S.SignalsSent, 1u);
+    EXPECT_EQ(S.Search.PredicateChecks, 1u);
+  }
+}
+
 } // namespace

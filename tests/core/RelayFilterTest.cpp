@@ -244,9 +244,7 @@ TEST(ReadSetTest, EdslAndParsedFrontsAgree) {
     const WaitPlan *edslPlan() {
       Region R(*this);
       Value Bound[WaitPlan::MaxSlots];
-      size_t NumBound = 0;
-      return planCache().forEdsl((Count + lit(3) <= Cap).ref(),
-                                 config().Limits, Bound, NumBound);
+      return Monitor::edslPlan(Count + 3 <= Cap, Bound);
     }
 
     const WaitPlan *parsedPlan() {

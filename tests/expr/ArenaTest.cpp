@@ -53,6 +53,20 @@ TEST(ArenaTest, NodeCountReflectsSharing) {
   EXPECT_EQ(A.numNodes(), Before + 3);     // x, 1, x+1.
 }
 
+TEST(ArenaTest, InternCallsCountLookups) {
+  // Unlike numNodes(), internCalls() also counts requests that found an
+  // existing node: it measures arena traffic, not arena growth.
+  Vars V;
+  ExprArena A;
+  ExprRef X = A.var(V.Syms.info(V.X));
+  A.binary(ExprKind::Add, X, A.intLit(1));
+  uint64_t Before = A.internCalls();
+  size_t Nodes = A.numNodes();
+  A.binary(ExprKind::Add, X, A.intLit(1)); // Two lookups, no new node.
+  EXPECT_EQ(A.internCalls(), Before + 2);
+  EXPECT_EQ(A.numNodes(), Nodes);
+}
+
 TEST(ArenaTest, ConstantFoldingArithmetic) {
   ExprArena A;
   EXPECT_EQ(A.binary(ExprKind::Add, A.intLit(2), A.intLit(3)), A.intLit(5));

@@ -24,6 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <deque>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -102,9 +105,91 @@ TEST(PlanCacheTest, EdslLiteralsShareOneShape) {
     blockedWithdraw(M, N, [&](int64_t V) { M.withdrawEdsl(V); });
 
   const PlanCacheStats &P = M.planCache().stats();
-  EXPECT_EQ(P.EdslSkeletons, 4u);
+  EXPECT_EQ(M.planCache().numSites(), 1u) << "one call site, one key";
   EXPECT_EQ(P.ShapeBuilds, 1u) << "Level >= 2 and Level >= 8 are one shape";
   EXPECT_EQ(M.conditionManager().stats().Registrations, 4u);
+}
+
+TEST(PlanCacheTest, EdslKeySeparatesVariables) {
+  // `!Sticks[0]` and `!Sticks[1]` are one C++ type: the call-site key's
+  // VarIds must still give each its own plan, or the second wait would
+  // bind the first one's and never see its own stick released.
+  class Sticks : public Monitor {
+  public:
+    Sticks() {
+      for (int I = 0; I != 2; ++I)
+        Held.emplace_back(*this, "stick" + std::to_string(I), true);
+    }
+    bool awaitFree(int I) {
+      Region R(*this);
+      return waitUntilFor(!Held[I].expr(), std::chrono::seconds(10));
+    }
+    void release(int I) {
+      Region R(*this);
+      Held[I] = false;
+    }
+    AUTOSYNCH_TEST_WAITER_PROBE()
+    using Monitor::planCache;
+
+  private:
+    std::deque<Shared<bool>> Held;
+  };
+
+  Sticks M;
+  bool Free0 = false, Free1 = false;
+  std::thread A([&] { Free0 = M.awaitFree(0); });
+  awaitWaiters(M, 1);
+  std::thread B([&] { Free1 = M.awaitFree(1); });
+  awaitWaiters(M, 2);
+  EXPECT_EQ(M.planCache().numSites(), 2u);
+  M.release(1);
+  B.join();
+  EXPECT_TRUE(Free1);
+  EXPECT_EQ(M.waiters(), 1) << "releasing stick 1 must not wake stick 0";
+  M.release(0);
+  A.join();
+  EXPECT_TRUE(Free0);
+}
+
+TEST(PlanCacheTest, EdslKeySeparatesMultipliers) {
+  // `X * 2 >= a` and `X * 3 >= a` are one C++ type; the multiplier is a
+  // structural literal, so it is part of the key, not a slot.
+  class Scaled : public Monitor {
+  public:
+    bool awaitDouble(int64_t A) {
+      Region R(*this);
+      return waitUntilFor(X * 2 >= A, std::chrono::seconds(10));
+    }
+    bool awaitTriple(int64_t A) {
+      Region R(*this);
+      return waitUntilFor(X * 3 >= A, std::chrono::seconds(10));
+    }
+    void set(int64_t V) {
+      Region R(*this);
+      X = V;
+    }
+    AUTOSYNCH_TEST_WAITER_PROBE()
+    using Monitor::planCache;
+
+  private:
+    Shared<int64_t> X{*this, "x", 0};
+  };
+
+  Scaled M;
+  bool Doubled = false, Tripled = false;
+  std::thread A([&] { Doubled = M.awaitDouble(6); }); // x >= 3
+  awaitWaiters(M, 1);
+  std::thread B([&] { Tripled = M.awaitTriple(6); }); // x >= 2
+  awaitWaiters(M, 2);
+  EXPECT_EQ(M.planCache().numSites(), 2u);
+  EXPECT_EQ(M.planCache().stats().ShapeBuilds, 2u);
+  M.set(2);
+  B.join();
+  EXPECT_TRUE(Tripled);
+  EXPECT_EQ(M.waiters(), 1) << "x == 2 must not satisfy x * 2 >= 6";
+  M.set(3);
+  A.join();
+  EXPECT_TRUE(Doubled);
 }
 
 TEST(PlanCacheTest, RepeatedBindingsHitWithoutArenaGrowth) {
