@@ -12,7 +12,7 @@
 //  * cycle — two threads hand a token through `turn == me` (the canonical
 //    wait/signal cycle: every handoff is one directed signal issued after
 //    the monitor unlock). Local values recur, so a plan-cache hit must be
-//    completely allocation-free. Reported per mechanism x backend.
+//    completely allocation-free. Reported per mechanism.
 //  * fastpath-sweep — one thread calls waitUntil("count >= n") with a
 //    fresh n every call while the predicate is already true: the pure
 //    bind-and-evaluate check cost.
@@ -209,7 +209,6 @@ private:
 struct Cell {
   std::string Scenario;
   Mechanism Mech = Mechanism::AutoSynch;
-  sync::Backend Backend = sync::Backend::Std;
   int64_t Ops = 0;
   double NsPerOp = 0.0;
   double HeapAllocsPerOp = 0.0;
@@ -221,17 +220,15 @@ struct Cell {
   uint64_t PlanColdBinds = 0;
 };
 
-Cell runCycle(Mechanism Mech, sync::Backend Backend, int64_t Handoffs,
-              int Reps) {
+Cell runCycle(Mechanism Mech, int64_t Handoffs, int Reps) {
   Cell C;
   C.Scenario = "cycle";
   C.Mech = Mech;
-  C.Backend = Backend;
   C.Ops = Handoffs;
 
   double BestSeconds = -1.0;
   for (int Rep = 0; Rep != Reps; ++Rep) {
-    MonitorConfig Cfg = configFor(Mech, Backend);
+    MonitorConfig Cfg = configFor(Mech);
     PingPong M(Cfg);
 
     // Warm the parse cache, the plan shape, and both signatures so the
@@ -317,12 +314,11 @@ Cell runSweep(const char *Scenario, int64_t Ops, int Reps) {
   Cell C;
   C.Scenario = Scenario;
   C.Mech = Mechanism::AutoSynch;
-  C.Backend = sync::Backend::Std;
   C.Ops = Ops;
 
   double BestSeconds = -1.0;
   for (int Rep = 0; Rep != Reps; ++Rep) {
-    MonitorConfig Cfg = configFor(Mechanism::AutoSynch, sync::Backend::Std);
+    MonitorConfig Cfg = configFor(Mechanism::AutoSynch);
     SweeperT M(Cfg, /*Ceiling=*/Ops + 2);
 
     M.probe(1); // Warm the parse cache or call-site key, and the plan.
@@ -356,12 +352,11 @@ Cell runGlobalizeSweep(int64_t Ops, int Reps) {
   Cell C;
   C.Scenario = "globalize-sweep";
   C.Mech = Mechanism::AutoSynch;
-  C.Backend = sync::Backend::Std;
   C.Ops = Ops;
 
   double BestSeconds = -1.0;
   for (int Rep = 0; Rep != Reps; ++Rep) {
-    MonitorConfig Cfg = configFor(Mechanism::AutoSynch, sync::Backend::Std);
+    MonitorConfig Cfg = configFor(Mechanism::AutoSynch);
     // Every fill() predicate is brand new; an eviction limit keeps the
     // table (and the run) at steady state, the way a real server would.
     Cfg.InactiveCacheLimit = 256;
@@ -439,14 +434,13 @@ void writeJson(const std::vector<Cell> &Cells, double EdslRatio,
                  Path.c_str());
     std::exit(1);
   }
-  OS << "{\n  \"bench\": \"hotpath_waitcycle\",\n  \"schema\": 3,\n"
+  OS << "{\n  \"bench\": \"hotpath_waitcycle\",\n  \"schema\": 4,\n"
      << "  \"edsl_over_parsed_fastpath\": " << EdslRatio << ",\n"
      << "  \"runs\": [\n";
   for (size_t I = 0; I != Cells.size(); ++I) {
     const Cell &C = Cells[I];
     OS << "    {\"scenario\": \"" << C.Scenario << "\", \"mechanism\": \""
-       << mechanismName(C.Mech) << "\", \"backend\": \""
-       << sync::backendName(C.Backend) << "\", \"ops\": " << C.Ops
+       << mechanismName(C.Mech) << "\", \"ops\": " << C.Ops
        << ", \"ns_per_op\": " << C.NsPerOp
        << ", \"heap_allocs_per_op\": " << C.HeapAllocsPerOp
        << ", \"arena_nodes_per_op\": " << C.ArenaNodesPerOp
@@ -486,11 +480,10 @@ int main(int Argc, char **Argv) {
   const int64_t SweepOps = Opts.scaled(50000);
 
   std::vector<Cell> Cells;
-  Table T({"scenario", "mechanism", "backend", "ns/op", "heap-allocs/op",
+  Table T({"scenario", "mechanism", "ns/op", "heap-allocs/op",
            "arena-nodes/op", "arena-interns/op"});
   auto Record = [&](Cell C) {
     T.addRow({C.Scenario, mechanismName(C.Mech),
-              sync::backendName(C.Backend),
               std::to_string(static_cast<int64_t>(C.NsPerOp)),
               std::to_string(C.HeapAllocsPerOp),
               std::to_string(C.ArenaNodesPerOp),
@@ -498,11 +491,9 @@ int main(int Argc, char **Argv) {
     Cells.push_back(std::move(C));
   };
 
-  for (sync::Backend B : {sync::Backend::Std, sync::Backend::Futex}) {
-    for (Mechanism Mech :
-         {Mechanism::AutoSynch, Mechanism::AutoSynchT, Mechanism::Baseline})
-      Record(runCycle(Mech, B, Handoffs, Opts.Reps));
-  }
+  for (Mechanism Mech :
+       {Mechanism::AutoSynch, Mechanism::AutoSynchT, Mechanism::Baseline})
+    Record(runCycle(Mech, Handoffs, Opts.Reps));
   Cell Parsed = runSweep<Sweeper>("fastpath-sweep", SweepOps, Opts.Reps);
   Cell Edsl = runSweep<EdslSweeper>("edsl-fastpath", SweepOps, Opts.Reps);
   double EdslRatio = Edsl.NsPerOp / Parsed.NsPerOp;

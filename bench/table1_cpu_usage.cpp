@@ -49,8 +49,7 @@ int main() {
 
     sync::Counters::global().enableTiming(true);
     for (int R = 0; R != Opts.Reps; ++R) {
-      auto RR = makeRoundRobin(M, Threads, sync::Backend::Std,
-                               /*EnablePhaseTimers=*/true);
+      auto RR = makeRoundRobin(M, Threads, /*EnablePhaseTimers=*/true);
       sync::CountersSnapshot Before = sync::Counters::global().snapshot();
       RunMetrics Metrics = runRoundRobin(*RR, Threads, TotalOps);
       sync::CountersSnapshot Delta =

@@ -16,12 +16,12 @@
 //    traffic on the no-block fast path.
 //  * cycle — a blocking producer/consumer ping-pong (capacity-1 bounded
 //    buffer) with untimed put/take vs. putFor/takeFor under a generous
-//    deadline, per relay mechanism x backend: the timed hot path's
+//    deadline, per mechanism: the timed hot path's
 //    target is <= 10% overhead (wheel insert+cancel + the bounded block
 //    ride along every park).
 //  * expiry-accuracy — waitUntilFor on never-true predicates: how late
 //    after the requested deadline does the false return arrive
-//    (p50/p95/max lateness; bounded by condvar timed-wait precision
+//    (p50/p95/max lateness; bounded by the futex timed-wait precision
 //    since the waiter's own block is the fallback tick).
 //
 //===----------------------------------------------------------------------===//
@@ -54,8 +54,7 @@ double nowSeconds() {
 
 struct Cell {
   std::string Scenario;
-  std::string Mech;    // "-" where not applicable.
-  std::string Backend; // "-" where not applicable.
+  std::string Mech; // "-" where not applicable.
   int64_t Ops = 0;
   double NsPerOp = 0.0;
   /// cycle/fastpath: untimed ns/op and timed/untimed ratio.
@@ -69,7 +68,7 @@ struct Cell {
 Cell runWheelOps(int64_t Pairs, int Reps) {
   Cell C;
   C.Scenario = "wheel-ops";
-  C.Mech = C.Backend = "-";
+  C.Mech = "-";
   C.Ops = 2 * Pairs; // One insert + one cancel per pair.
 
   std::vector<time::TimerNode> Nodes(1024);
@@ -142,7 +141,6 @@ Cell runFastpath(int64_t Ops, int Reps) {
   Cell C;
   C.Scenario = "fastpath";
   C.Mech = "AutoSynch";
-  C.Backend = "std";
   C.Ops = Ops;
 
   double BestTimed = -1.0, BestUntimed = -1.0;
@@ -168,12 +166,10 @@ Cell runFastpath(int64_t Ops, int Reps) {
 }
 
 /// Blocking ping-pong: producer/consumer over a capacity-1 buffer.
-Cell runCycle(Mechanism Mech, sync::Backend Backend, int64_t Ops,
-              int Reps) {
+Cell runCycle(Mechanism Mech, int64_t Ops, int Reps) {
   Cell C;
   C.Scenario = "cycle";
   C.Mech = mechanismName(Mech);
-  C.Backend = sync::backendName(Backend);
   C.Ops = Ops;
 
   constexpr uint64_t Generous = 10ull * 1000 * 1000 * 1000; // 10 s.
@@ -181,13 +177,13 @@ Cell runCycle(Mechanism Mech, sync::Backend Backend, int64_t Ops,
     // Warm-up: the first far-deadline wait in the process spawns the
     // fallback-ticker thread; keep that one-time cost out of the
     // measured loop.
-    auto B = makeBoundedBuffer(Mech, 1, Backend);
+    auto B = makeBoundedBuffer(Mech, 1);
     int64_t Out;
     AUTOSYNCH_CHECK(B->putFor(0, Generous) && B->takeFor(Out, Generous),
                     "warm-up op expired");
   }
   auto RunOnce = [&](bool Timed) {
-    auto B = makeBoundedBuffer(Mech, 1, Backend);
+    auto B = makeBoundedBuffer(Mech, 1);
     double T0 = nowSeconds();
     std::thread Producer([&] {
       for (int64_t I = 0; I != Ops; ++I) {
@@ -236,7 +232,6 @@ Cell runExpiryAccuracy(int Waits, int Reps) {
   Cell C;
   C.Scenario = "expiry-accuracy";
   C.Mech = "AutoSynch";
-  C.Backend = "std";
   C.Ops = Waits;
 
   class Never : public Monitor {
@@ -275,13 +270,13 @@ void writeJson(const std::vector<Cell> &Cells, const std::string &Path) {
     std::fprintf(stderr, "timedwait_wheel: cannot open %s\n", Path.c_str());
     std::exit(1);
   }
-  OS << "{\n  \"bench\": \"timedwait_wheel\",\n  \"schema\": 1,\n"
+  OS << "{\n  \"bench\": \"timedwait_wheel\",\n  \"schema\": 2,\n"
      << "  \"runs\": [\n";
   for (size_t I = 0; I != Cells.size(); ++I) {
     const Cell &C = Cells[I];
     OS << "    {\"scenario\": \"" << C.Scenario << "\", \"mechanism\": \""
-       << C.Mech << "\", \"backend\": \"" << C.Backend
-       << "\", \"ops\": " << C.Ops << ", \"ns_per_op\": " << C.NsPerOp;
+       << C.Mech << "\", \"ops\": " << C.Ops
+       << ", \"ns_per_op\": " << C.NsPerOp;
     if (C.Scenario == "cycle" || C.Scenario == "fastpath")
       OS << ", \"untimed_ns_per_op\": " << C.UntimedNsPerOp
          << ", \"timed_over_untimed\": " << C.Overhead;
@@ -319,12 +314,11 @@ int main(int Argc, char **Argv) {
   Cells.push_back(runFastpath(Opts.scaled(200000), Opts.Reps));
   for (Mechanism M : {Mechanism::Explicit, Mechanism::AutoSynchT,
                       Mechanism::AutoSynch})
-    for (sync::Backend B : {sync::Backend::Std, sync::Backend::Futex})
-      Cells.push_back(runCycle(M, B, Opts.scaled(20000), Opts.Reps));
+    Cells.push_back(runCycle(M, Opts.scaled(20000), Opts.Reps));
   Cells.push_back(
       runExpiryAccuracy(static_cast<int>(Opts.scaled(100)), Opts.Reps));
 
-  bench::Table T({"scenario", "mech", "backend", "ops", "ns/op",
+  bench::Table T({"scenario", "mech", "ops", "ns/op",
                   "untimed-ns/op", "timed/untimed", "late-p95-us"});
   char Buf[32];
   auto F = [&Buf](double V) {
@@ -332,7 +326,7 @@ int main(int Argc, char **Argv) {
     return std::string(Buf);
   };
   for (const Cell &C : Cells)
-    T.addRow({C.Scenario, C.Mech, C.Backend, std::to_string(C.Ops),
+    T.addRow({C.Scenario, C.Mech, std::to_string(C.Ops),
               F(C.NsPerOp),
               C.UntimedNsPerOp > 0 ? F(C.UntimedNsPerOp) : "-",
               C.Overhead > 0 ? F(C.Overhead) : "-",

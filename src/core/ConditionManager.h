@@ -96,6 +96,7 @@
 #include "expr/SymbolTable.h"
 #include "expr/VarSet.h"
 #include "sync/Counters.h"
+#include "sync/Mutex.h"
 #include "tag/TagIndex.h"
 #include "time/CancelToken.h"
 #include "time/FallbackTicker.h"

@@ -14,7 +14,7 @@
 using namespace autosynch;
 
 Monitor::Monitor(MonitorConfig Config)
-    : Cfg(Config), Lock(Config.Backend), SharedSlots(Syms, Slots),
+    : Cfg(Config), SharedSlots(Syms, Slots),
       Mgr(Lock, Arena, Syms, SharedSlots, Slots, Cfg), Plans(Arena, Syms) {}
 
 Monitor::~Monitor() = default;

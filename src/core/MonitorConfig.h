@@ -26,7 +26,6 @@
 #define AUTOSYNCH_CORE_MONITORCONFIG_H
 
 #include "dnf/Dnf.h"
-#include "sync/Mutex.h"
 
 #include <cstddef>
 
@@ -44,9 +43,6 @@ const char *signalPolicyName(SignalPolicy P);
 
 struct MonitorConfig {
   SignalPolicy Policy = SignalPolicy::Tagged;
-
-  /// Lock/condvar backend for the monitor lock and all conditions.
-  sync::Backend Backend = sync::Backend::Std;
 
   /// Record per-phase CPU time (lock / await / relaySignal / tag manager)
   /// for the Table 1 experiment. Off by default: two clock reads per phase.

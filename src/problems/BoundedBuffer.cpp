@@ -25,9 +25,9 @@ namespace {
 /// for the same single-item event.
 class ExplicitBoundedBuffer final : public BoundedBufferIface {
 public:
-  ExplicitBoundedBuffer(int64_t Capacity, sync::Backend Backend)
-      : Mutex(Backend), NotFull(Mutex.newCondition()),
-        NotEmpty(Mutex.newCondition()), Buffer(Capacity) {}
+  explicit ExplicitBoundedBuffer(int64_t Capacity)
+      : NotFull(Mutex.newCondition()), NotEmpty(Mutex.newCondition()),
+        Buffer(Capacity) {}
 
   void put(int64_t Item) override {
     Mutex.lock();
@@ -176,11 +176,9 @@ private:
 } // namespace
 
 std::unique_ptr<BoundedBufferIface>
-autosynch::makeBoundedBuffer(Mechanism M, int64_t Capacity,
-                             sync::Backend Backend) {
+autosynch::makeBoundedBuffer(Mechanism M, int64_t Capacity) {
   AUTOSYNCH_CHECK(Capacity > 0, "bounded buffer requires capacity >= 1");
   if (M == Mechanism::Explicit)
-    return std::make_unique<ExplicitBoundedBuffer>(Capacity, Backend);
-  return std::make_unique<AutoBoundedBuffer>(Capacity,
-                                             configFor(M, Backend));
+    return std::make_unique<ExplicitBoundedBuffer>(Capacity);
+  return std::make_unique<AutoBoundedBuffer>(Capacity, configFor(M));
 }

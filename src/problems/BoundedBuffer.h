@@ -50,8 +50,7 @@ public:
 
 /// Creates the \p M implementation with space for \p Capacity items.
 std::unique_ptr<BoundedBufferIface>
-makeBoundedBuffer(Mechanism M, int64_t Capacity,
-                  sync::Backend Backend = sync::Backend::Std);
+makeBoundedBuffer(Mechanism M, int64_t Capacity);
 
 } // namespace autosynch
 

@@ -27,8 +27,8 @@ namespace {
 /// the finished generation must run).
 class ExplicitCyclicBarrier final : public CyclicBarrierIface {
 public:
-  ExplicitCyclicBarrier(int64_t Parties, sync::Backend Backend)
-      : Mutex(Backend), Tripped(Mutex.newCondition()), NumParties(Parties) {}
+  explicit ExplicitCyclicBarrier(int64_t Parties)
+      : Tripped(Mutex.newCondition()), NumParties(Parties) {}
 
   int64_t await() override {
     Mutex.lock();
@@ -104,10 +104,9 @@ private:
 } // namespace
 
 std::unique_ptr<CyclicBarrierIface>
-autosynch::makeCyclicBarrier(Mechanism M, int64_t Parties,
-                             sync::Backend Backend) {
+autosynch::makeCyclicBarrier(Mechanism M, int64_t Parties) {
   AUTOSYNCH_CHECK(Parties > 0, "cyclic barrier requires >= 1 party");
   if (M == Mechanism::Explicit)
-    return std::make_unique<ExplicitCyclicBarrier>(Parties, Backend);
-  return std::make_unique<AutoCyclicBarrier>(Parties, configFor(M, Backend));
+    return std::make_unique<ExplicitCyclicBarrier>(Parties);
+  return std::make_unique<AutoCyclicBarrier>(Parties, configFor(M));
 }

@@ -45,8 +45,7 @@ public:
 
 /// Creates the \p M implementation for \p Parties threads per generation.
 std::unique_ptr<CyclicBarrierIface>
-makeCyclicBarrier(Mechanism M, int64_t Parties,
-                  sync::Backend Backend = sync::Backend::Std);
+makeCyclicBarrier(Mechanism M, int64_t Parties);
 
 } // namespace autosynch
 

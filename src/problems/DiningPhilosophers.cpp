@@ -24,8 +24,7 @@ namespace {
 /// predicates may have turned true).
 class ExplicitDiningPhilosophers final : public DiningPhilosophersIface {
 public:
-  ExplicitDiningPhilosophers(int64_t N, sync::Backend Backend)
-      : Mutex(Backend), Stick(N, false), N(N) {
+  explicit ExplicitDiningPhilosophers(int64_t N) : Stick(N, false), N(N) {
     Conds.reserve(N);
     for (int64_t I = 0; I != N; ++I)
       Conds.push_back(Mutex.newCondition());
@@ -105,13 +104,11 @@ private:
 } // namespace
 
 std::unique_ptr<DiningPhilosophersIface>
-autosynch::makeDiningPhilosophers(Mechanism M, int64_t NumPhilosophers,
-                                  sync::Backend Backend) {
+autosynch::makeDiningPhilosophers(Mechanism M, int64_t NumPhilosophers) {
   AUTOSYNCH_CHECK(NumPhilosophers >= 2,
                   "dining philosophers requires >= 2 philosophers");
   if (M == Mechanism::Explicit)
-    return std::make_unique<ExplicitDiningPhilosophers>(NumPhilosophers,
-                                                        Backend);
+    return std::make_unique<ExplicitDiningPhilosophers>(NumPhilosophers);
   return std::make_unique<AutoDiningPhilosophers>(NumPhilosophers,
-                                                  configFor(M, Backend));
+                                                  configFor(M));
 }

@@ -41,8 +41,7 @@ public:
 };
 
 std::unique_ptr<DiningPhilosophersIface>
-makeDiningPhilosophers(Mechanism M, int64_t NumPhilosophers,
-                       sync::Backend Backend = sync::Backend::Std);
+makeDiningPhilosophers(Mechanism M, int64_t NumPhilosophers);
 
 } // namespace autosynch
 

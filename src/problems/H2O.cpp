@@ -23,8 +23,8 @@ namespace {
 
 class ExplicitH2O final : public H2OIface {
 public:
-  explicit ExplicitH2O(sync::Backend Backend)
-      : Mutex(Backend), EnoughHydrogen(Mutex.newCondition()),
+  ExplicitH2O()
+      : EnoughHydrogen(Mutex.newCondition()),
         PassAvailable(Mutex.newCondition()) {}
 
   void hydrogen() override {
@@ -99,9 +99,8 @@ private:
 
 } // namespace
 
-std::unique_ptr<H2OIface> autosynch::makeH2O(Mechanism M,
-                                             sync::Backend Backend) {
+std::unique_ptr<H2OIface> autosynch::makeH2O(Mechanism M) {
   if (M == Mechanism::Explicit)
-    return std::make_unique<ExplicitH2O>(Backend);
-  return std::make_unique<AutoH2O>(configFor(M, Backend));
+    return std::make_unique<ExplicitH2O>();
+  return std::make_unique<AutoH2O>(configFor(M));
 }

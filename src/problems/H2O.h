@@ -39,8 +39,7 @@ public:
   virtual int64_t molecules() const = 0;
 };
 
-std::unique_ptr<H2OIface>
-makeH2O(Mechanism M, sync::Backend Backend = sync::Backend::Std);
+std::unique_ptr<H2OIface> makeH2O(Mechanism M);
 
 } // namespace autosynch
 

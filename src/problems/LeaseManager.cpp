@@ -23,8 +23,8 @@ namespace {
 /// between the last check and the block is never lost.
 class ExplicitLeaseManager final : public LeaseManagerIface {
 public:
-  ExplicitLeaseManager(int64_t Leases, sync::Backend Backend)
-      : Mutex(Backend), Freed(Mutex.newCondition()), Free(Leases) {}
+  explicit ExplicitLeaseManager(int64_t Leases)
+      : Freed(Mutex.newCondition()), Free(Leases) {}
 
   bool acquire(uint64_t TimeoutNs) override {
     uint64_t Deadline = time::deadlineAfter(time::nowNs(), TimeoutNs);
@@ -135,10 +135,9 @@ private:
 } // namespace
 
 std::unique_ptr<LeaseManagerIface>
-autosynch::makeLeaseManager(Mechanism M, int64_t Leases,
-                            sync::Backend Backend) {
+autosynch::makeLeaseManager(Mechanism M, int64_t Leases) {
   AUTOSYNCH_CHECK(Leases > 0, "lease manager requires at least one lease");
   if (M == Mechanism::Explicit)
-    return std::make_unique<ExplicitLeaseManager>(Leases, Backend);
-  return std::make_unique<AutoLeaseManager>(Leases, configFor(M, Backend));
+    return std::make_unique<ExplicitLeaseManager>(Leases);
+  return std::make_unique<AutoLeaseManager>(Leases, configFor(M));
 }

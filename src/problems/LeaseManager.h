@@ -53,8 +53,7 @@ public:
 
 /// Creates the \p M implementation managing \p Leases leases.
 std::unique_ptr<LeaseManagerIface>
-makeLeaseManager(Mechanism M, int64_t Leases,
-                 sync::Backend Backend = sync::Backend::Std);
+makeLeaseManager(Mechanism M, int64_t Leases);
 
 } // namespace autosynch
 

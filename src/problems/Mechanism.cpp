@@ -25,9 +25,8 @@ const char *autosynch::mechanismName(Mechanism M) {
   AUTOSYNCH_UNREACHABLE("invalid Mechanism");
 }
 
-MonitorConfig autosynch::configFor(Mechanism M, sync::Backend Backend) {
+MonitorConfig autosynch::configFor(Mechanism M) {
   MonitorConfig Cfg;
-  Cfg.Backend = Backend;
   switch (M) {
   case Mechanism::Baseline:
     Cfg.Policy = SignalPolicy::Broadcast;

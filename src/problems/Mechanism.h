@@ -37,8 +37,7 @@ inline bool isAutomatic(Mechanism M) { return M != Mechanism::Explicit; }
 
 /// Monitor configuration matching \p M. Fatal error for Explicit (it has
 /// no automatic monitor).
-MonitorConfig configFor(Mechanism M,
-                        sync::Backend Backend = sync::Backend::Std);
+MonitorConfig configFor(Mechanism M);
 
 } // namespace autosynch
 

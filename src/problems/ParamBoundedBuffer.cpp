@@ -20,8 +20,8 @@ namespace {
 /// signalAll on both conditions is forced (§3).
 class ExplicitParamBoundedBuffer final : public ParamBoundedBufferIface {
 public:
-  ExplicitParamBoundedBuffer(int64_t Capacity, sync::Backend Backend)
-      : Mutex(Backend), InsufficientSpace(Mutex.newCondition()),
+  explicit ExplicitParamBoundedBuffer(int64_t Capacity)
+      : InsufficientSpace(Mutex.newCondition()),
         InsufficientItems(Mutex.newCondition()), Capacity(Capacity) {}
 
   void put(int64_t NumItems) override {
@@ -91,12 +91,10 @@ private:
 } // namespace
 
 std::unique_ptr<ParamBoundedBufferIface>
-autosynch::makeParamBoundedBuffer(Mechanism M, int64_t Capacity,
-                                  sync::Backend Backend) {
+autosynch::makeParamBoundedBuffer(Mechanism M, int64_t Capacity) {
   AUTOSYNCH_CHECK(Capacity > 0,
                   "parameterized bounded buffer requires capacity >= 1");
   if (M == Mechanism::Explicit)
-    return std::make_unique<ExplicitParamBoundedBuffer>(Capacity, Backend);
-  return std::make_unique<AutoParamBoundedBuffer>(Capacity,
-                                                  configFor(M, Backend));
+    return std::make_unique<ExplicitParamBoundedBuffer>(Capacity);
+  return std::make_unique<AutoParamBoundedBuffer>(Capacity, configFor(M));
 }

@@ -44,8 +44,7 @@ public:
 /// mechanisms the paper plots (AutoSynch) are exercised by the Fig. 14
 /// bench, but every mechanism is constructible.
 std::unique_ptr<ParamBoundedBufferIface>
-makeParamBoundedBuffer(Mechanism M, int64_t Capacity,
-                       sync::Backend Backend = sync::Backend::Std);
+makeParamBoundedBuffer(Mechanism M, int64_t Capacity);
 
 } // namespace autosynch
 

@@ -31,8 +31,6 @@ namespace {
 /// is the explicit mechanism's strength — it always knows whom to wake.
 class ExplicitReadersWriters final : public ReadersWritersIface {
 public:
-  explicit ExplicitReadersWriters(sync::Backend Backend) : Mutex(Backend) {}
-
   void startRead() override {
     Mutex.lock();
     if (!Queue.empty() || ActiveWriters != 0) {
@@ -187,8 +185,8 @@ private:
 } // namespace
 
 std::unique_ptr<ReadersWritersIface>
-autosynch::makeReadersWriters(Mechanism M, sync::Backend Backend) {
+autosynch::makeReadersWriters(Mechanism M) {
   if (M == Mechanism::Explicit)
-    return std::make_unique<ExplicitReadersWriters>(Backend);
-  return std::make_unique<AutoReadersWriters>(configFor(M, Backend));
+    return std::make_unique<ExplicitReadersWriters>();
+  return std::make_unique<AutoReadersWriters>(configFor(M));
 }

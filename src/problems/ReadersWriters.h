@@ -41,9 +41,7 @@ public:
   virtual int64_t writes() const = 0;
 };
 
-std::unique_ptr<ReadersWritersIface>
-makeReadersWriters(Mechanism M,
-                   sync::Backend Backend = sync::Backend::Std);
+std::unique_ptr<ReadersWritersIface> makeReadersWriters(Mechanism M);
 
 } // namespace autosynch
 

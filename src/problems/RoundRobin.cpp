@@ -23,8 +23,7 @@ namespace {
 /// explicit mechanism's best case.
 class ExplicitRoundRobin final : public RoundRobinIface {
 public:
-  ExplicitRoundRobin(int64_t NumThreads, sync::Backend Backend)
-      : Mutex(Backend), NumThreads(NumThreads) {
+  explicit ExplicitRoundRobin(int64_t NumThreads) : NumThreads(NumThreads) {
     Turns.reserve(NumThreads);
     for (int64_t I = 0; I != NumThreads; ++I)
       Turns.push_back(Mutex.newCondition());
@@ -86,11 +85,11 @@ private:
 
 std::unique_ptr<RoundRobinIface>
 autosynch::makeRoundRobin(Mechanism M, int64_t NumThreads,
-                          sync::Backend Backend, bool EnablePhaseTimers) {
+                          bool EnablePhaseTimers) {
   AUTOSYNCH_CHECK(NumThreads > 0, "round robin requires >= 1 thread");
   if (M == Mechanism::Explicit)
-    return std::make_unique<ExplicitRoundRobin>(NumThreads, Backend);
-  MonitorConfig Cfg = configFor(M, Backend);
+    return std::make_unique<ExplicitRoundRobin>(NumThreads);
+  MonitorConfig Cfg = configFor(M);
   Cfg.EnablePhaseTimers = EnablePhaseTimers;
   return std::make_unique<AutoRoundRobin>(NumThreads, Cfg);
 }

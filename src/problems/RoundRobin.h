@@ -49,7 +49,6 @@ public:
 /// Table 1 phase breakdown (relaySignal / tag management).
 std::unique_ptr<RoundRobinIface>
 makeRoundRobin(Mechanism M, int64_t NumThreads,
-               sync::Backend Backend = sync::Backend::Std,
                bool EnablePhaseTimers = false);
 
 } // namespace autosynch

@@ -24,9 +24,8 @@ namespace {
 
 class ExplicitSantaClaus final : public SantaClausIface {
 public:
-  ExplicitSantaClaus(int64_t ReindeerTeam, int64_t ElfGroup,
-                     sync::Backend Backend)
-      : Mutex(Backend), GroupReady(Mutex.newCondition()),
+  ExplicitSantaClaus(int64_t ReindeerTeam, int64_t ElfGroup)
+      : GroupReady(Mutex.newCondition()),
         RPassAvailable(Mutex.newCondition()),
         EPassAvailable(Mutex.newCondition()), ReindeerTeam(ReindeerTeam),
         ElfGroup(ElfGroup) {}
@@ -196,12 +195,11 @@ private:
 
 std::unique_ptr<SantaClausIface>
 autosynch::makeSantaClaus(Mechanism M, int64_t ReindeerTeam,
-                          int64_t ElfGroup, sync::Backend Backend) {
+                          int64_t ElfGroup) {
   AUTOSYNCH_CHECK(ReindeerTeam > 0 && ElfGroup > 0,
                   "santa claus requires positive group sizes");
   if (M == Mechanism::Explicit)
-    return std::make_unique<ExplicitSantaClaus>(ReindeerTeam, ElfGroup,
-                                                Backend);
+    return std::make_unique<ExplicitSantaClaus>(ReindeerTeam, ElfGroup);
   return std::make_unique<AutoSantaClaus>(ReindeerTeam, ElfGroup,
-                                          configFor(M, Backend));
+                                          configFor(M));
 }

@@ -65,8 +65,7 @@ public:
 /// Creates the \p M implementation with a reindeer team of \p ReindeerTeam
 /// and elf groups of \p ElfGroup.
 std::unique_ptr<SantaClausIface>
-makeSantaClaus(Mechanism M, int64_t ReindeerTeam = 9, int64_t ElfGroup = 3,
-               sync::Backend Backend = sync::Backend::Std);
+makeSantaClaus(Mechanism M, int64_t ReindeerTeam = 9, int64_t ElfGroup = 3);
 
 } // namespace autosynch
 

@@ -25,8 +25,8 @@ namespace {
 
 class ExplicitSleepingBarber final : public SleepingBarberIface {
 public:
-  ExplicitSleepingBarber(int64_t Chairs, sync::Backend Backend)
-      : Mutex(Backend), CustomerAvailable(Mutex.newCondition()),
+  explicit ExplicitSleepingBarber(int64_t Chairs)
+      : CustomerAvailable(Mutex.newCondition()),
         OfferAvailable(Mutex.newCondition()),
         OfferTaken(Mutex.newCondition()), Chairs(Chairs) {}
 
@@ -117,10 +117,9 @@ private:
 } // namespace
 
 std::unique_ptr<SleepingBarberIface>
-autosynch::makeSleepingBarber(Mechanism M, int64_t Chairs,
-                              sync::Backend Backend) {
+autosynch::makeSleepingBarber(Mechanism M, int64_t Chairs) {
   AUTOSYNCH_CHECK(Chairs > 0, "sleeping barber requires >= 1 chair");
   if (M == Mechanism::Explicit)
-    return std::make_unique<ExplicitSleepingBarber>(Chairs, Backend);
-  return std::make_unique<AutoSleepingBarber>(Chairs, configFor(M, Backend));
+    return std::make_unique<ExplicitSleepingBarber>(Chairs);
+  return std::make_unique<AutoSleepingBarber>(Chairs, configFor(M));
 }

@@ -43,8 +43,7 @@ public:
 
 /// Creates the \p M implementation with \p Chairs waiting chairs.
 std::unique_ptr<SleepingBarberIface>
-makeSleepingBarber(Mechanism M, int64_t Chairs,
-                   sync::Backend Backend = sync::Backend::Std);
+makeSleepingBarber(Mechanism M, int64_t Chairs);
 
 } // namespace autosynch
 

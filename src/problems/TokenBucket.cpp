@@ -25,8 +25,8 @@ namespace {
 /// with threshold tags.
 class ExplicitTokenBucket final : public TokenBucketIface {
 public:
-  ExplicitTokenBucket(int64_t Capacity, sync::Backend Backend)
-      : Mutex(Backend), Refilled(Mutex.newCondition()), Capacity(Capacity),
+  explicit ExplicitTokenBucket(int64_t Capacity)
+      : Refilled(Mutex.newCondition()), Capacity(Capacity),
         Tokens(Capacity) {}
 
   bool acquire(int64_t N, uint64_t TimeoutNs) override {
@@ -142,10 +142,9 @@ private:
 } // namespace
 
 std::unique_ptr<TokenBucketIface>
-autosynch::makeTokenBucket(Mechanism M, int64_t Capacity,
-                           sync::Backend Backend) {
+autosynch::makeTokenBucket(Mechanism M, int64_t Capacity) {
   AUTOSYNCH_CHECK(Capacity > 0, "token bucket requires capacity >= 1");
   if (M == Mechanism::Explicit)
-    return std::make_unique<ExplicitTokenBucket>(Capacity, Backend);
-  return std::make_unique<AutoTokenBucket>(Capacity, configFor(M, Backend));
+    return std::make_unique<ExplicitTokenBucket>(Capacity);
+  return std::make_unique<AutoTokenBucket>(Capacity, configFor(M));
 }

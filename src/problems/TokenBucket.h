@@ -55,8 +55,7 @@ public:
 /// Creates the \p M implementation with room for \p Capacity tokens; the
 /// bucket starts full.
 std::unique_ptr<TokenBucketIface>
-makeTokenBucket(Mechanism M, int64_t Capacity,
-                sync::Backend Backend = sync::Backend::Std);
+makeTokenBucket(Mechanism M, int64_t Capacity);
 
 } // namespace autosynch
 

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Thin wrappers over the Linux futex(2) system call, used by the futex
-/// backend of the sync substrate. Process-private futexes only.
+/// Thin wrappers over the Linux futex(2) system call, on which the sync
+/// substrate's Mutex and Condition are built. Process-private futexes only.
 ///
 //===----------------------------------------------------------------------===//
 

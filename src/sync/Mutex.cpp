@@ -7,29 +7,35 @@
 
 #include "sync/Mutex.h"
 
-#include "support/Check.h"
+#include "support/Compiler.h"
 #include "sync/Counters.h"
 #include "sync/Futex.h"
 
 #include <chrono>
 #include <climits>
-#include <condition_variable>
-#include <limits>
-#include <mutex>
 #include <thread>
+
+// ThreadSanitizer does not see a futex as a lock: left alone it would
+// check the mutex's atomics but not lock order or ownership. The
+// annotations tell it that Mutex is a mutex, exactly as it treats an
+// intercepted pthread mutex. They compile to nothing in other builds.
+#if defined(__SANITIZE_THREAD__)
+#define AUTOSYNCH_TSAN_MUTEX 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define AUTOSYNCH_TSAN_MUTEX 1
+#endif
+#endif
+
+#ifdef AUTOSYNCH_TSAN_MUTEX
+#include <sanitizer/tsan_interface.h>
+#define TSAN_ANNOTATE(Call) Call
+#else
+#define TSAN_ANNOTATE(Call) ((void)0)
+#endif
 
 using namespace autosynch;
 using namespace autosynch::sync;
-
-const char *sync::backendName(Backend B) {
-  switch (B) {
-  case Backend::Std:
-    return "std";
-  case Backend::Futex:
-    return "futex";
-  }
-  AUTOSYNCH_UNREACHABLE("invalid sync backend");
-}
 
 //===----------------------------------------------------------------------===//
 // Spurious-wakeup fault injection (tests only)
@@ -56,216 +62,18 @@ uint32_t sync::spuriousWakeupPeriod() {
   return SpuriousPeriod.load(std::memory_order_relaxed);
 }
 
-//===----------------------------------------------------------------------===//
-// Std backend
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-class StdMutexImpl final : public detail::MutexImpl {
-public:
-  void lock() override { M.lock(); }
-  void unlock() override { M.unlock(); }
-  bool tryLock() override { return M.try_lock(); }
-
-  std::mutex &raw() { return M; }
-
-private:
-  std::mutex M;
-};
-
-class StdConditionImpl final : public detail::ConditionImpl {
-public:
-  explicit StdConditionImpl(std::mutex &M) : M(M) {}
-
-  void await() override {
-    // The caller already holds M through Mutex::lock(); adopt it so the
-    // condition variable can release and re-acquire it, then hand ownership
-    // back without unlocking.
-    std::unique_lock<std::mutex> Guard(M, std::adopt_lock);
-    CV.wait(Guard);
-    Guard.release();
-  }
-
-  bool awaitUntil(uint64_t DeadlineNs, uint64_t Epoch) override {
-    // std::condition_variable cannot close the lost-notify window
-    // against notifiers that do not hold the mutex (CancelToken::cancel,
-    // the fallback ticker): a notify landing between the epoch check and
-    // the condvar's internal waiter registration wakes nobody, and on an
-    // unbounded epoch wait that is a hang. The epoch-protected path
-    // therefore waits on the epoch word itself with a futex — the
-    // value-vs-epoch compare is atomic in the kernel, exactly like the
-    // futex backend — while plain await() stays pure condvar.
-    EpochWaiters.fetch_add(1, std::memory_order_seq_cst);
-    M.unlock();
-    bool TimedOut =
-        futexWaitUntil(Gen, static_cast<uint32_t>(Epoch), DeadlineNs);
-    M.lock();
-    EpochWaiters.fetch_sub(1, std::memory_order_relaxed);
-    return TimedOut;
-  }
-
-  uint64_t epoch() const override {
-    return Gen.load(std::memory_order_relaxed);
-  }
-
-  void signal() override {
-    Gen.fetch_add(1, std::memory_order_release);
-    CV.notify_one();
-    if (epochWaiterMayBeParked())
-      futexWake(Gen, 1);
-  }
-  void signalAll() override {
-    Gen.fetch_add(1, std::memory_order_release);
-    CV.notify_all();
-    if (epochWaiterMayBeParked())
-      futexWake(Gen, INT_MAX);
-  }
-
-  void spuriousWake() override {
-    M.unlock();
-    std::this_thread::yield();
-    M.lock();
-  }
-
-private:
-  /// Whether the futex wake is needed. The wake is skippable when no
-  /// epoch waiter exists — a waiter that captured its epoch before the
-  /// bump self-detects the change in futexWaitUntil's kernel compare —
-  /// but the waker-side check is the classic futex waiter-count pattern
-  /// and needs a full StoreLoad barrier between the Gen bump and the
-  /// count read (paired with the waiter's seq_cst increment before its
-  /// kernel compare): with plain release/relaxed ordering the count
-  /// read could be satisfied before the bump commits, read zero, and
-  /// drop the only wake for a concurrently parking waiter. x86's RMW
-  /// masks this; weaker architectures do not.
-  bool epochWaiterMayBeParked() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    return EpochWaiters.load(std::memory_order_relaxed) != 0;
-  }
-
-  std::mutex &M;
-  std::condition_variable CV;
-  /// Wake epoch; see Condition::epoch(). 32-bit: it doubles as the
-  /// futex word for the epoch-protected timed wait.
-  std::atomic<uint32_t> Gen{0};
-  /// Threads currently blocked in the futex epoch wait.
-  std::atomic<uint32_t> EpochWaiters{0};
-};
 
 //===----------------------------------------------------------------------===//
-// Futex backend
+// Mutex
 //===----------------------------------------------------------------------===//
 
-/// Drepper's three-state futex mutex ("Futexes Are Tricky", 2011):
-/// 0 = unlocked, 1 = locked with no waiters, 2 = locked with possible
-/// waiters.
-class FutexMutexImpl final : public detail::MutexImpl {
-public:
-  void lock() override {
-    uint32_t C = 0;
-    if (State.compare_exchange_strong(C, 1, std::memory_order_acquire))
-      return;
-    // Contended path: advertise a waiter by setting state 2, then sleep
-    // until the owner hands the lock over.
-    if (C != 2)
-      C = State.exchange(2, std::memory_order_acquire);
-    while (C != 0) {
-      futexWait(State, 2);
-      C = State.exchange(2, std::memory_order_acquire);
-    }
-  }
-
-  bool tryLock() override {
-    uint32_t C = 0;
-    return State.compare_exchange_strong(C, 1, std::memory_order_acquire);
-  }
-
-  void unlock() override {
-    if (State.fetch_sub(1, std::memory_order_release) != 1) {
-      // There may be waiters (state was 2): fully release and wake one.
-      State.store(0, std::memory_order_release);
-      futexWake(State, 1);
-    }
-  }
-
-private:
-  std::atomic<uint32_t> State{0};
-};
-
-/// Sequence-counter futex condition variable. await() publishes the current
-/// sequence number, releases the mutex, and sleeps until the sequence
-/// changes; each signal bumps the sequence, so a signal issued between the
-/// unlock and the futexWait is never lost (the wait returns immediately on
-/// the value mismatch).
-class FutexConditionImpl final : public detail::ConditionImpl {
-public:
-  explicit FutexConditionImpl(FutexMutexImpl &M) : M(M) {}
-
-  void await() override {
-    uint32_t S = Seq.load(std::memory_order_relaxed);
-    M.unlock();
-    futexWait(Seq, S);
-    M.lock();
-  }
-
-  bool awaitUntil(uint64_t DeadlineNs, uint64_t Epoch) override {
-    // The sequence counter is the epoch: a wake issued after the caller's
-    // capture bumps it, and futexWaitUntil returns immediately on the
-    // value mismatch — nothing to lose. The timeout is an absolute
-    // CLOCK_MONOTONIC timespec, so spurious returns need no re-arming
-    // arithmetic.
-    M.unlock();
-    bool TimedOut =
-        futexWaitUntil(Seq, static_cast<uint32_t>(Epoch), DeadlineNs);
-    M.lock();
-    return TimedOut;
-  }
-
-  uint64_t epoch() const override {
-    return Seq.load(std::memory_order_relaxed);
-  }
-
-  void signal() override {
-    Seq.fetch_add(1, std::memory_order_release);
-    futexWake(Seq, 1);
-  }
-
-  void signalAll() override {
-    Seq.fetch_add(1, std::memory_order_release);
-    futexWake(Seq, INT_MAX);
-  }
-
-  void spuriousWake() override {
-    M.unlock();
-    std::this_thread::yield();
-    M.lock();
-  }
-
-private:
-  std::atomic<uint32_t> Seq{0};
-  FutexMutexImpl &M;
-};
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// Public wrappers
-//===----------------------------------------------------------------------===//
-
-Mutex::Mutex(Backend B) : Kind(B) {
-  switch (B) {
-  case Backend::Std:
-    Impl = std::make_unique<StdMutexImpl>();
-    return;
-  case Backend::Futex:
-    Impl = std::make_unique<FutexMutexImpl>();
-    return;
-  }
-  AUTOSYNCH_UNREACHABLE("invalid sync backend");
+Mutex::Mutex() {
+  TSAN_ANNOTATE(__tsan_mutex_create(this, __tsan_mutex_not_static));
 }
 
-Mutex::~Mutex() = default;
+Mutex::~Mutex() {
+  TSAN_ANNOTATE(__tsan_mutex_destroy(this, __tsan_mutex_not_static));
+}
 
 static uint64_t nowNs() {
   return static_cast<uint64_t>(
@@ -278,60 +86,94 @@ void Mutex::lock() {
   Counters &G = Counters::global();
   if (AUTOSYNCH_UNLIKELY(G.timingEnabled())) {
     uint64_t T0 = nowNs();
-    Impl->lock();
+    acquire();
     G.addLockNs(nowNs() - T0);
     return;
   }
-  Impl->lock();
+  acquire();
 }
 
-void Mutex::unlock() { Impl->unlock(); }
-bool Mutex::tryLock() { return Impl->tryLock(); }
+void Mutex::acquire() {
+  TSAN_ANNOTATE(__tsan_mutex_pre_lock(this, 0));
+  uint32_t C = 0;
+  if (AUTOSYNCH_UNLIKELY(
+          !State.compare_exchange_strong(C, 1, std::memory_order_acquire))) {
+    // Contended path: advertise a waiter by setting state 2, then sleep
+    // until the owner hands the lock over.
+    if (C != 2)
+      C = State.exchange(2, std::memory_order_acquire);
+    while (C != 0) {
+      futexWait(State, 2);
+      C = State.exchange(2, std::memory_order_acquire);
+    }
+  }
+  TSAN_ANNOTATE(__tsan_mutex_post_lock(this, 0, 0));
+}
+
+bool Mutex::tryLock() {
+  TSAN_ANNOTATE(__tsan_mutex_pre_lock(this, __tsan_mutex_try_lock));
+  uint32_t C = 0;
+  bool Locked =
+      State.compare_exchange_strong(C, 1, std::memory_order_acquire);
+  TSAN_ANNOTATE(__tsan_mutex_post_lock(
+      this,
+      __tsan_mutex_try_lock | (Locked ? 0 : __tsan_mutex_try_lock_failed),
+      0));
+  return Locked;
+}
+
+void Mutex::unlock() {
+  TSAN_ANNOTATE(__tsan_mutex_pre_unlock(this, 0));
+  if (State.fetch_sub(1, std::memory_order_release) != 1) {
+    // There may be waiters (state was 2): fully release and wake one.
+    State.store(0, std::memory_order_release);
+    futexWake(State, 1);
+  }
+  TSAN_ANNOTATE(__tsan_mutex_post_unlock(this, 0));
+}
 
 std::unique_ptr<Condition> Mutex::newCondition() {
-  std::unique_ptr<detail::ConditionImpl> CI;
-  switch (Kind) {
-  case Backend::Std:
-    CI = std::make_unique<StdConditionImpl>(
-        static_cast<StdMutexImpl &>(*Impl).raw());
-    break;
-  case Backend::Futex:
-    CI = std::make_unique<FutexConditionImpl>(
-        static_cast<FutexMutexImpl &>(*Impl));
-    break;
-  }
-  AUTOSYNCH_CHECK(CI != nullptr, "invalid sync backend");
   // Condition's constructor is private; makeshift make_unique.
-  return std::unique_ptr<Condition>(new Condition(std::move(CI)));
+  return std::unique_ptr<Condition>(new Condition(*this));
+}
+
+//===----------------------------------------------------------------------===//
+// Condition
+//===----------------------------------------------------------------------===//
+
+bool Condition::park(uint32_t Expected, uint64_t DeadlineNs) {
+  // The parked count is the classic futex waiter-count pattern. The
+  // increment is seq_cst and precedes the kernel's compare of Seq against
+  // Expected; notify() bumps Seq with a seq_cst RMW and then loads the
+  // count. Either the notifier sees this waiter counted and wakes, or the
+  // bump precedes the increment in the total order and the kernel compare
+  // sees the new sequence and returns at once. No wake is dropped.
+  Parked.fetch_add(1, std::memory_order_seq_cst);
+  M.unlock();
+  bool TimedOut = futexWaitUntil(Seq, Expected, DeadlineNs);
+  Parked.fetch_sub(1, std::memory_order_relaxed);
+  M.acquire();
+  return TimedOut;
+}
+
+void Condition::notify(int Count) {
+  Seq.fetch_add(1, std::memory_order_seq_cst);
+  if (Parked.load(std::memory_order_seq_cst) != 0)
+    futexWake(Seq, Count);
 }
 
 void Condition::await() {
-  Awaits.fetch_add(1, std::memory_order_relaxed);
-  Counters &G = Counters::global();
-  G.onAwait();
-  if (AUTOSYNCH_UNLIKELY(injectSpurious())) {
-    Impl->spuriousWake();
-    G.onWakeup();
-    return;
-  }
-  if (AUTOSYNCH_UNLIKELY(G.timingEnabled())) {
-    uint64_t T0 = nowNs();
-    Impl->await();
-    G.addAwaitNs(nowNs() - T0);
-  } else {
-    Impl->await();
-  }
-  G.onWakeup();
+  (void)awaitUntil(~uint64_t{0}, Seq.load(std::memory_order_relaxed));
 }
-
-uint64_t Condition::epoch() const { return Impl->epoch(); }
 
 bool Condition::awaitUntil(uint64_t DeadlineNs, uint64_t Epoch) {
   Awaits.fetch_add(1, std::memory_order_relaxed);
   Counters &G = Counters::global();
   G.onAwait();
   if (AUTOSYNCH_UNLIKELY(injectSpurious())) {
-    Impl->spuriousWake();
+    M.unlock();
+    std::this_thread::yield();
+    M.acquire();
     G.onWakeup();
     // The verdict must stay truthful even when the kernel never ran:
     // callers lean on it as their only deadline observation.
@@ -340,10 +182,10 @@ bool Condition::awaitUntil(uint64_t DeadlineNs, uint64_t Epoch) {
   bool TimedOut;
   if (AUTOSYNCH_UNLIKELY(G.timingEnabled())) {
     uint64_t T0 = nowNs();
-    TimedOut = Impl->awaitUntil(DeadlineNs, Epoch);
+    TimedOut = park(static_cast<uint32_t>(Epoch), DeadlineNs);
     G.addAwaitNs(nowNs() - T0);
   } else {
-    TimedOut = Impl->awaitUntil(DeadlineNs, Epoch);
+    TimedOut = park(static_cast<uint32_t>(Epoch), DeadlineNs);
   }
   G.onWakeup();
   return TimedOut;
@@ -352,11 +194,11 @@ bool Condition::awaitUntil(uint64_t DeadlineNs, uint64_t Epoch) {
 void Condition::signal() {
   Signals.fetch_add(1, std::memory_order_relaxed);
   Counters::global().onSignal();
-  Impl->signal();
+  notify(1);
 }
 
 void Condition::signalAll() {
   SignalAlls.fetch_add(1, std::memory_order_relaxed);
   Counters::global().onSignalAll();
-  Impl->signalAll();
+  notify(INT_MAX);
 }

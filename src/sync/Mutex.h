@@ -8,16 +8,28 @@
 /// \file
 /// The synchronization substrate the monitors are built on. The API mirrors
 /// Java's Lock/Condition (the paper's substrate): a Mutex owns any number of
-/// Conditions created by newCondition(); await/signal/signalAll must be
-/// called while holding the mutex.
+/// Conditions created by newCondition(); await must be called while holding
+/// the mutex.
 ///
-/// Two interchangeable backends:
-///  * Backend::Std   — std::mutex + std::condition_variable.
-///  * Backend::Futex — raw Linux futexes (Drepper-style mutex, sequence-
-///                     counter condition variable).
+/// One backend, on raw Linux futexes:
+///  * Mutex is Drepper's three-state futex mutex ("Futexes Are Tricky").
+///  * Condition is a sequence word — which is also its wake epoch — plus a
+///    count of the threads parked on that word in the kernel. signal() and
+///    signalAll() bump the sequence and enter the kernel only when the
+///    count says a thread may be parked, so a signal with nobody waiting
+///    costs no syscall.
 ///
-/// Spurious wakeups are permitted by both backends; all users wait in
-/// predicate-re-checking loops, exactly as the paper's monitors do.
+/// Notification is lock-free: signal()/signalAll() may run with or without
+/// the mutex held. A waiter parks only while the sequence still holds the
+/// value it read, and the kernel compares the two atomically, so a bump
+/// that lands between the waiter's unlock and its park is never lost. That
+/// lets the monitor defer its relay wakeup until after the monitor lock is
+/// released (no wake-then-block convoy).
+///
+/// Spurious wakeups are permitted; all users wait in predicate-re-checking
+/// loops, exactly as the paper's monitors do. Under ThreadSanitizer the
+/// mutex is annotated, so TSan checks lock order and ownership on it as it
+/// would on a pthread mutex.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,15 +41,6 @@
 #include <memory>
 
 namespace autosynch::sync {
-
-/// Selects the implementation of Mutex/Condition at construction time.
-enum class Backend : uint8_t {
-  Std,  ///< std::mutex / std::condition_variable.
-  Futex ///< Raw Linux futex implementation.
-};
-
-/// Returns a human-readable backend name ("std" or "futex").
-const char *backendName(Backend B);
 
 /// Fault-injection hook for robustness tests: when \p N > 0, every Nth
 /// Condition::await / awaitUntil across the process returns spuriously
@@ -61,40 +64,12 @@ private:
   uint32_t Prev;
 };
 
-namespace detail {
-
-class MutexImpl {
-public:
-  virtual ~MutexImpl() = default;
-  virtual void lock() = 0;
-  virtual void unlock() = 0;
-  virtual bool tryLock() = 0;
-};
-
-class ConditionImpl {
-public:
-  virtual ~ConditionImpl() = default;
-  virtual void await() = 0;
-  /// Timed wait against the wake epoch captured by the caller; see
-  /// Condition::awaitUntil. Returns true iff the deadline passed.
-  virtual bool awaitUntil(uint64_t DeadlineNs, uint64_t Epoch) = 0;
-  /// Current wake epoch (bumped by every signal/signalAll).
-  virtual uint64_t epoch() const = 0;
-  virtual void signal() = 0;
-  virtual void signalAll() = 0;
-  /// Releases the mutex, yields, and re-acquires — a manufactured
-  /// spurious wakeup for the fault-injection hook.
-  virtual void spuriousWake() = 0;
-};
-
-} // namespace detail
-
 class Condition;
 
 /// A non-reentrant mutual-exclusion lock with Java's Lock shape.
 class Mutex {
 public:
-  explicit Mutex(Backend B = Backend::Std);
+  Mutex();
   ~Mutex();
   Mutex(const Mutex &) = delete;
   Mutex &operator=(const Mutex &) = delete;
@@ -109,36 +84,39 @@ public:
   /// outlive the condition.
   std::unique_ptr<Condition> newCondition();
 
-  Backend backend() const { return Kind; }
-
 private:
-  Backend Kind;
-  std::unique_ptr<detail::MutexImpl> Impl;
+  friend class Condition;
+
+  /// lock() without the lock-wait timing; Condition re-acquires with it.
+  void acquire();
+
+  /// 0 = unlocked, 1 = locked with no waiters, 2 = locked with possible
+  /// waiters.
+  std::atomic<uint32_t> State{0};
 };
 
 /// A condition variable bound to a Mutex. await() requires the bound mutex
 /// to be held by the calling thread. signal()/signalAll() may be called
-/// with OR without the mutex held: both backends tolerate lock-free
-/// notification (std::condition_variable by contract; the futex backend by
-/// its sequence counter), which is what lets the monitor defer its relay
-/// wakeup until after the monitor lock is released (no wake-then-block
-/// convoy). The caller must still guarantee the Condition outlives any
-/// in-flight lock-free signal.
+/// with or without the mutex held; the caller must guarantee the Condition
+/// outlives any in-flight lock-free signal.
 class Condition {
 public:
+  Condition(const Condition &) = delete;
+  Condition &operator=(const Condition &) = delete;
+
   /// Atomically releases the mutex and blocks until signaled (or a spurious
   /// wakeup); re-acquires the mutex before returning.
   void await();
 
-  /// The condition's wake epoch: a counter both backends bump on every
-  /// signal/signalAll. Timed waits capture it (under the mutex) *before*
-  /// their final state checks; awaitUntil then returns immediately if the
-  /// epoch has moved, so a wake issued between the capture and the block
-  /// — the classic lost-notify window, which CancelToken::cancel and the
-  /// timer wheel's lock-free expiry wakes would otherwise fall into — is
-  /// never lost. Relaxed read; requires the mutex for the ordering
-  /// guarantee above.
-  uint64_t epoch() const;
+  /// The condition's wake epoch: the sequence word every signal/signalAll
+  /// bumps. Timed waits capture it (under the mutex) *before* their final
+  /// state checks; awaitUntil then returns immediately if the epoch has
+  /// moved, so a wake issued between the capture and the block — the
+  /// classic lost-notify window, which CancelToken::cancel and the timer
+  /// wheel's lock-free expiry wakes would otherwise fall into — is never
+  /// lost. Relaxed read; requires the mutex for the ordering guarantee
+  /// above.
+  uint64_t epoch() const { return Seq.load(std::memory_order_relaxed); }
 
   /// Atomically releases the mutex and blocks until the epoch advances
   /// past \p Epoch, the thread is woken (possibly spuriously), or the
@@ -171,10 +149,21 @@ public:
 
 private:
   friend class Mutex;
-  explicit Condition(std::unique_ptr<detail::ConditionImpl> Impl)
-      : Impl(std::move(Impl)) {}
+  explicit Condition(Mutex &M) : M(M) {}
 
-  std::unique_ptr<detail::ConditionImpl> Impl;
+  /// Releases the mutex, parks while the sequence still reads \p Expected
+  /// (or until \p DeadlineNs), and re-acquires. Returns true iff the
+  /// deadline passed.
+  bool park(uint32_t Expected, uint64_t DeadlineNs);
+
+  /// Bumps the sequence and wakes up to \p Count parked threads.
+  void notify(int Count);
+
+  Mutex &M;
+  /// The futex word waiters park on; see epoch().
+  std::atomic<uint32_t> Seq{0};
+  /// Threads between announcing a park and returning from the kernel.
+  std::atomic<uint32_t> Parked{0};
   // Relaxed atomics: signal()/signalAll() may run outside the mutex.
   std::atomic<uint64_t> Awaits{0};
   std::atomic<uint64_t> Signals{0};

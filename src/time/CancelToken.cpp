@@ -22,8 +22,8 @@ void CancelToken::cancel() {
   S->Cancelled.store(true, std::memory_order_release);
   // Signal while holding the token lock: a registered wait cannot
   // deregister (and its monitor cannot be torn down) until we are done,
-  // so every pointer here is live. signalAll is lock-free-safe on both
-  // backends (see sync/Mutex.h).
+  // so every pointer here is live. signalAll is lock-free-safe (see
+  // sync/Mutex.h).
   for (sync::Condition *C : S->Waits)
     C->signalAll();
 }

@@ -21,7 +21,7 @@
 /// between the waiter's last flag check and its block because the waiter
 /// captures the condition's wake epoch *before* checking the flag and
 /// blocks with sync::Condition::awaitUntil(deadline, epoch), which returns
-/// immediately when the epoch has moved (both backends are sequence-
+/// immediately when the epoch has moved (the condition is sequence-
 /// counted). Any interleaving therefore either lands the flag before the
 /// check, or bumps the epoch after the capture — never a silent miss.
 ///

@@ -7,9 +7,9 @@
 ///
 /// \file
 /// The deadline runtime's time base: monotonic nanoseconds since the
-/// steady-clock epoch (CLOCK_MONOTONIC on Linux — the same clock the futex
-/// backend's absolute timed waits use, so deadlines mean the same thing in
-/// every layer). A Deadline is a point on that clock; NeverNs is the
+/// steady-clock epoch (CLOCK_MONOTONIC on Linux — the same clock the sync
+/// layer's absolute futex timed waits use, so deadlines mean the same thing
+/// in every layer). A Deadline is a point on that clock; NeverNs is the
 /// unbounded sentinel, so an untimed wait and a timed wait share one code
 /// path with one comparison telling them apart.
 ///

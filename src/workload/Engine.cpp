@@ -214,7 +214,7 @@ void Engine::workerLoop(StageRuntime &St, int WorkerIdx) {
       break; // The channel handoff is the work.
     case StageKind::ReadersWriters: {
       // Derive the read/write choice from the token id, not the worker:
-      // the op sequence is then identical across mechanisms and backends.
+      // the op sequence is then identical across mechanisms.
       Rng Coin(Cfg.Seed ^ (static_cast<uint64_t>(Id) + 1) *
                               0xbf58476d1ce4e5b9ULL);
       if (Coin.chance(static_cast<uint64_t>(S.ReadPercent), 100)) {
@@ -276,7 +276,7 @@ ScenarioReport Engine::run() {
     St.ExpectedTokens = Counts[I];
     if (S.Kind == StageKind::Source)
       continue;
-    St.In = makeBoundedBuffer(Cfg.Mech, S.Capacity, Cfg.Backend);
+    St.In = makeBoundedBuffer(Cfg.Mech, S.Capacity);
     St.Remaining.store(Counts[I], std::memory_order_relaxed);
     St.ArrivalNs.assign(static_cast<size_t>(TotalTokens), 0);
     St.WorkerLatency.resize(S.Workers);
@@ -284,16 +284,16 @@ ScenarioReport Engine::run() {
       St.WorkerEndToEnd.resize(S.Workers);
     switch (S.Kind) {
     case StageKind::ReadersWriters:
-      St.RW = makeReadersWriters(Cfg.Mech, Cfg.Backend);
+      St.RW = makeReadersWriters(Cfg.Mech);
       break;
     case StageKind::Barrier: {
       int64_t Parties = S.Parties > 0 ? S.Parties : S.Workers;
-      St.Barrier = makeCyclicBarrier(Cfg.Mech, Parties, Cfg.Backend);
+      St.Barrier = makeCyclicBarrier(Cfg.Mech, Parties);
       St.AwaitLimit = (Counts[I] / Parties) * Parties;
       break;
     }
     case StageKind::Rotation:
-      St.Rotation = makeRoundRobin(Cfg.Mech, S.Workers, Cfg.Backend);
+      St.Rotation = makeRoundRobin(Cfg.Mech, S.Workers);
       break;
     case StageKind::Queue:
       break;
@@ -345,7 +345,6 @@ ScenarioReport Engine::run() {
   ScenarioReport R;
   R.Scenario = Spec.Name;
   R.Mech = Cfg.Mech;
-  R.Backend = Cfg.Backend;
   R.TotalTokens = TotalTokens;
   R.TotalThreads = TotalThreads;
   R.WallSeconds = Wall;
@@ -420,7 +419,6 @@ void workload::writeReportJson(const ScenarioReport &R, JsonWriter &J) {
   J.beginObject()
       .member("scenario", R.Scenario)
       .member("mechanism", mechanismName(R.Mech))
-      .member("backend", sync::backendName(R.Backend))
       .member("total_tokens", R.TotalTokens)
       .member("total_threads", R.TotalThreads)
       .member("wall_seconds", R.WallSeconds)

@@ -8,9 +8,9 @@
 /// \file
 /// Executes a scenario graph: instantiates one monitor per stage (bounded
 /// buffers as inter-stage channels, RW/barrier/round-robin monitors as
-/// stage work) under a chosen Mechanism x sync::Backend, drives it with
-/// seeded closed- or open-loop sources, and reports per-stage throughput
-/// and latency histograms plus end-to-end sojourn times.
+/// stage work) under a chosen Mechanism, drives it with seeded closed- or
+/// open-loop sources, and reports per-stage throughput and latency
+/// histograms plus end-to-end sojourn times.
 ///
 /// This is the first layer that exercises many automatic-signal monitors
 /// concurrently in one process: a P-stage scenario at W workers runs
@@ -37,7 +37,6 @@ class JsonWriter;
 /// One scenario execution's knobs.
 struct RunConfig {
   Mechanism Mech = Mechanism::AutoSynch;
-  sync::Backend Backend = sync::Backend::Std;
 
   /// Tokens each source emits.
   int64_t TokensPerSource = 10000;
@@ -85,7 +84,6 @@ struct StageReport {
 struct ScenarioReport {
   std::string Scenario;
   Mechanism Mech = Mechanism::AutoSynch;
-  sync::Backend Backend = sync::Backend::Std;
   int64_t TotalTokens = 0;
   int TotalThreads = 0;
   double WallSeconds = 0.0;

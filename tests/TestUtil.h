@@ -34,6 +34,11 @@
 
 namespace autosynch::testutil {
 
+/// The sync substrate the parameterized sync and stress suites run on
+/// (the futex Mutex/Condition). ctest lists those cases by name and by
+/// the bytes gtest prints for their parameter, so the value stays 1.
+enum class Substrate : uint8_t { Futex = 1 };
+
 /// Parses AUTOSYNCH_TEST_SEED (decimal or 0x-hex). Returns true and sets
 /// \p Out when the variable is present; the parse result is cached so every
 /// call site in a test binary sees the same base seed.
@@ -118,8 +123,8 @@ template <typename MonitorT> void awaitWaiters(MonitorT &M, int N) {
 /// functor evaluated while holding \p M — reaches \p N. Condition::await
 /// bumps awaitCount() under the mutex *before* parking, so once the count
 /// is observed under the lock the waiter has released it inside await();
-/// a signal issued while still holding the mutex can no longer be lost on
-/// either backend. Bounded like awaitWaiters so a regression fails fast.
+/// a signal issued while still holding the mutex can no longer be lost.
+/// Bounded like awaitWaiters so a regression fails fast.
 template <typename CountFn>
 void awaitParked(sync::Mutex &M, CountFn Count, int N) {
   auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);

@@ -15,7 +15,7 @@
 //  * read-set extraction — the EDSL and parsed front ends produce plans
 //    with identical shared read sets, matching the registered record's;
 //  * a differential property suite — every problem monitor driven with an
-//    identical seeded op sequence on every relay mechanism x backend, all
+//    identical seeded op sequence on every relay mechanism, all
 //    relaying through the dirty-set filter, must complete with the same
 //    observable summary as explicit signaling (a filtered-away wakeup
 //    would diverge or hang; hangs are caught by the ctest timeout).
@@ -329,45 +329,21 @@ TEST(ReadSetTest, RegisteredRecordsSeeEveryReadVariable) {
 // Differential property suite: dirty-set relays on the problem monitors
 //===----------------------------------------------------------------------===//
 
-struct Combo {
-  Mechanism M;
-  sync::Backend B;
-};
-
 /// Explicit signaling first, as the reference: it never relays, so no
 /// wakeup of it can be filtered away. Then every relay mechanism, whose
-/// exits relay through the dirty-set filter, on both backends.
-const std::vector<Combo> &allCombos() {
-  static const std::vector<Combo> Combos = [] {
-    std::vector<Combo> Out{{Mechanism::Explicit, sync::Backend::Std}};
-    for (Mechanism M : {Mechanism::AutoSynchT, Mechanism::AutoSynch})
-      for (sync::Backend B : {sync::Backend::Std, sync::Backend::Futex})
-        Out.push_back({M, B});
-    return Out;
-  }();
-  return Combos;
-}
+/// exits relay through the dirty-set filter.
+constexpr Mechanism OracleMechanisms[] = {
+    Mechanism::Explicit, Mechanism::AutoSynchT, Mechanism::AutoSynch};
 
-std::string comboName(const Combo &C) {
-  return std::string(mechanismName(C.M)) + "/" + sync::backendName(C.B);
-}
-
-/// Runs \p History for every combination and asserts each summary equals
+/// Runs \p History for every mechanism and asserts each summary equals
 /// the reference's.
 void differential(
-    const std::function<std::vector<int64_t>(const Combo &)> &History) {
-  std::vector<int64_t> Reference;
-  const std::vector<Combo> &Combos = allCombos();
-  for (size_t I = 0; I != Combos.size(); ++I) {
-    std::vector<int64_t> Summary = History(Combos[I]);
-    if (I == 0) {
-      Reference = std::move(Summary);
-      continue;
-    }
-    EXPECT_EQ(Summary, Reference)
-        << comboName(Combos[I]) << " diverges from "
-        << comboName(Combos[0]);
-  }
+    const std::function<std::vector<int64_t>(Mechanism)> &History) {
+  std::vector<int64_t> Reference = History(OracleMechanisms[0]);
+  for (size_t I = 1; I != std::size(OracleMechanisms); ++I)
+    EXPECT_EQ(History(OracleMechanisms[I]), Reference)
+        << mechanismName(OracleMechanisms[I]) << " diverges from "
+        << mechanismName(OracleMechanisms[0]);
 }
 
 TEST(RelayFilterOracleTest, BoundedBufferFifo) {
@@ -377,8 +353,8 @@ TEST(RelayFilterOracleTest, BoundedBufferFifo) {
   for (int64_t I = 0; I != Items; ++I)
     Produced.push_back(R.range(-1000, 1000));
 
-  differential([&](const Combo &C) {
-    auto B = makeBoundedBuffer(C.M, 4, C.B);
+  differential([&](Mechanism Mech) {
+    auto B = makeBoundedBuffer(Mech, 4);
     std::vector<int64_t> Consumed;
     Consumed.reserve(Items);
     std::thread Producer([&] {
@@ -410,8 +386,8 @@ TEST(RelayFilterOracleTest, ParamBoundedBufferBatches) {
     Left -= N;
   }
 
-  differential([&](const Combo &C) {
-    auto B = makeParamBoundedBuffer(C.M, 16, C.B);
+  differential([&](Mechanism Mech) {
+    auto B = makeParamBoundedBuffer(Mech, 16);
     std::vector<std::thread> Pool;
     Pool.emplace_back([&] {
       for (int64_t N : Puts)
@@ -431,8 +407,8 @@ TEST(RelayFilterOracleTest, ParamBoundedBufferBatches) {
 TEST(RelayFilterOracleTest, H2OMolecules) {
   constexpr int64_t Molecules = 80;
   constexpr int HThreads = 4;
-  differential([&](const Combo &C) {
-    auto W = makeH2O(C.M, C.B);
+  differential([&](Mechanism Mech) {
+    auto W = makeH2O(Mech);
     std::atomic<int64_t> HLeft{2 * Molecules};
     std::vector<std::thread> Pool;
     Pool.emplace_back([&] {
@@ -453,8 +429,8 @@ TEST(RelayFilterOracleTest, H2OMolecules) {
 TEST(RelayFilterOracleTest, SleepingBarberCuts) {
   constexpr int64_t Cuts = 120;
   constexpr int Customers = 4;
-  differential([&](const Combo &C) {
-    auto S = makeSleepingBarber(C.M, 3, C.B);
+  differential([&](Mechanism Mech) {
+    auto S = makeSleepingBarber(Mech, 3);
     std::atomic<int64_t> CutsLeft{Cuts};
     std::vector<std::thread> Pool;
     Pool.emplace_back([&] {
@@ -476,8 +452,8 @@ TEST(RelayFilterOracleTest, SleepingBarberCuts) {
 TEST(RelayFilterOracleTest, RoundRobinRotation) {
   constexpr int Threads = 4;
   constexpr int64_t Rounds = 80;
-  differential([&](const Combo &C) {
-    auto RR = makeRoundRobin(C.M, Threads, C.B);
+  differential([&](Mechanism Mech) {
+    auto RR = makeRoundRobin(Mech, Threads);
     std::vector<std::thread> Pool;
     for (int T = 0; T != Threads; ++T)
       Pool.emplace_back([&, T] {
@@ -498,8 +474,8 @@ TEST(RelayFilterOracleTest, ReadersWritersConservation) {
     for (int I = 0; I != 100; ++I)
       S.push_back(R.chance(3, 4));
 
-  differential([&](const Combo &C) {
-    auto RW = makeReadersWriters(C.M, C.B);
+  differential([&](Mechanism Mech) {
+    auto RW = makeReadersWriters(Mech);
     std::vector<std::thread> Pool;
     for (int A = 0; A != Actors; ++A)
       Pool.emplace_back([&, A] {
@@ -522,8 +498,8 @@ TEST(RelayFilterOracleTest, ReadersWritersConservation) {
 TEST(RelayFilterOracleTest, DiningPhilosophersMeals) {
   constexpr int Philosophers = 5;
   constexpr int64_t Meals = 50;
-  differential([&](const Combo &C) {
-    auto D = makeDiningPhilosophers(C.M, Philosophers, C.B);
+  differential([&](Mechanism Mech) {
+    auto D = makeDiningPhilosophers(Mech, Philosophers);
     std::vector<std::thread> Pool;
     for (int P = 0; P != Philosophers; ++P)
       Pool.emplace_back([&, P] {
@@ -541,8 +517,8 @@ TEST(RelayFilterOracleTest, DiningPhilosophersMeals) {
 TEST(RelayFilterOracleTest, CyclicBarrierGenerations) {
   constexpr int Parties = 4;
   constexpr int64_t Generations = 60;
-  differential([&](const Combo &C) {
-    auto B = makeCyclicBarrier(C.M, Parties, C.B);
+  differential([&](Mechanism Mech) {
+    auto B = makeCyclicBarrier(Mech, Parties);
     std::vector<std::vector<int64_t>> Indices(Parties);
     std::vector<std::thread> Pool;
     for (int P = 0; P != Parties; ++P)
@@ -564,8 +540,8 @@ TEST(RelayFilterOracleTest, CyclicBarrierGenerations) {
 TEST(RelayFilterOracleTest, SantaClausGroups) {
   constexpr int64_t Deliveries = 12;
   constexpr int64_t Consultations = 36;
-  differential([&](const Combo &C) {
-    auto S = makeSantaClaus(C.M, /*ReindeerTeam=*/5, /*ElfGroup=*/3, C.B);
+  differential([&](Mechanism Mech) {
+    auto S = makeSantaClaus(Mech, /*ReindeerTeam=*/5, /*ElfGroup=*/3);
     std::atomic<int64_t> RLeft{5 * Deliveries};
     std::atomic<int64_t> ELeft{3 * Consultations};
     std::vector<std::thread> Pool;

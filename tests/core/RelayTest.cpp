@@ -205,32 +205,27 @@ TEST(RelayDeferredWakeTest, TokenRingHandoffsOnBothBackends) {
   // wakeup shows up as a hang (ctest timeout) or a wrong final token.
   // Runs under TSan in CI: the post-unlock signal must not race record
   // reuse or the condvar counters.
-  for (sync::Backend B : {sync::Backend::Std, sync::Backend::Futex}) {
-    for (SignalPolicy P :
-         {SignalPolicy::Tagged, SignalPolicy::LinearScan,
-          SignalPolicy::Broadcast}) {
-      MonitorConfig Cfg;
-      Cfg.Policy = P;
-      Cfg.Backend = B;
-      RingMonitor M(Cfg);
-      constexpr int64_t Threads = 4;
-      constexpr int64_t Rounds = 200;
-      std::vector<std::thread> Pool;
-      for (int64_t T = 0; T != Threads; ++T) {
-        Pool.emplace_back([&M, T] {
-          for (int64_t I = 0; I != Rounds; ++I) {
-            int64_t Me = I * Threads + T;
-            M.pass(Me, Me + 1);
-          }
-        });
-      }
-      for (auto &T : Pool)
-        T.join();
-      EXPECT_EQ(M.turn(), Threads * Rounds)
-          << sync::backendName(B) << "/" << signalPolicyName(P);
-      EXPECT_EQ(M.conditionManager().numWaiters(), 0);
-      EXPECT_EQ(M.conditionManager().pendingSignals(), 0);
+  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan,
+                         SignalPolicy::Broadcast}) {
+    MonitorConfig Cfg;
+    Cfg.Policy = P;
+    RingMonitor M(Cfg);
+    constexpr int64_t Threads = 4;
+    constexpr int64_t Rounds = 200;
+    std::vector<std::thread> Pool;
+    for (int64_t T = 0; T != Threads; ++T) {
+      Pool.emplace_back([&M, T] {
+        for (int64_t I = 0; I != Rounds; ++I) {
+          int64_t Me = I * Threads + T;
+          M.pass(Me, Me + 1);
+        }
+      });
     }
+    for (auto &T : Pool)
+      T.join();
+    EXPECT_EQ(M.turn(), Threads * Rounds) << signalPolicyName(P);
+    EXPECT_EQ(M.conditionManager().numWaiters(), 0);
+    EXPECT_EQ(M.conditionManager().pendingSignals(), 0);
   }
 }
 

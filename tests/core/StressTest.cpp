@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Heavier randomized stress across policies and sync backends: mixed
+// Heavier randomized stress across signal policies: mixed
 // threshold/equivalence/boolean predicates churning registrations, with
 // conservation oracles. These are the tests most likely to surface relay
 // lost-wakeup bugs (they hang, and the ctest timeout flags them).
@@ -75,34 +75,28 @@ private:
 
 struct StressCase {
   SignalPolicy Policy;
-  sync::Backend Backend;
+  testutil::Substrate Sync = testutil::Substrate::Futex;
 };
 
 class MonitorStressTest : public ::testing::TestWithParam<StressCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
     All, MonitorStressTest,
-    ::testing::Values(
-        StressCase{SignalPolicy::Tagged, sync::Backend::Std},
-        StressCase{SignalPolicy::Tagged, sync::Backend::Futex},
-        StressCase{SignalPolicy::LinearScan, sync::Backend::Std},
-        StressCase{SignalPolicy::LinearScan, sync::Backend::Futex},
-        StressCase{SignalPolicy::Broadcast, sync::Backend::Std},
-        StressCase{SignalPolicy::Broadcast, sync::Backend::Futex}),
+    ::testing::Values(StressCase{SignalPolicy::Tagged},
+                      StressCase{SignalPolicy::LinearScan},
+                      StressCase{SignalPolicy::Broadcast}),
     [](const auto &Info) {
       std::string Name = Info.param.Policy == SignalPolicy::Tagged
                              ? "tagged"
                          : Info.param.Policy == SignalPolicy::LinearScan
                              ? "linearscan"
                              : "broadcast";
-      Name += Info.param.Backend == sync::Backend::Std ? "Std" : "Futex";
-      return Name;
+      return Name + "Futex";
     });
 
 TEST_P(MonitorStressTest, MixedPredicateChurn) {
   MonitorConfig Cfg;
   Cfg.Policy = GetParam().Policy;
-  Cfg.Backend = GetParam().Backend;
   Cfg.InactiveCacheLimit = 8; // Exercise eviction under load.
   Warehouse W(Cfg);
 
@@ -154,7 +148,6 @@ TEST_P(MonitorStressTest, EpochBarrierChains) {
   // order as the epoch advances.
   MonitorConfig Cfg;
   Cfg.Policy = GetParam().Policy;
-  Cfg.Backend = GetParam().Backend;
   Warehouse W(Cfg);
 
   constexpr int64_t Epochs = 24;

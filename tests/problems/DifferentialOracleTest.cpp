@@ -6,16 +6,16 @@
 //===----------------------------------------------------------------------===//
 //
 // The differential signaling oracle: every problem monitor is driven with
-// the *identical* seeded operation sequence under every mechanism x
-// backend combination, and the observable history summary must agree
-// across all combinations. The explicit implementation serves as the
+// the *identical* seeded operation sequence under every mechanism, and
+// the observable history summary must agree across all of them. The
+// explicit implementation serves as the
 // reference; a signaling bug in a relay policy shows up as a diverging
 // summary (conservation broken, FIFO order violated) or as a hang (lost
 // wakeup — caught by the ctest timeout, since every sequence is designed
 // to terminate iff no signal is lost).
 //
 // Op sequences are derived once per test from AUTOSYNCH_SEEDED_RNG and
-// replayed byte-identically for each combination.
+// replayed byte-identically for each mechanism.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,46 +42,20 @@ using namespace autosynch;
 
 namespace {
 
-struct Combo {
-  Mechanism M;
-  sync::Backend B;
-};
+constexpr Mechanism AllMechanisms[] = {Mechanism::Explicit,
+                                       Mechanism::Baseline,
+                                       Mechanism::AutoSynchT,
+                                       Mechanism::AutoSynch};
 
-const std::vector<Combo> &allCombos() {
-  static const std::vector<Combo> Combos = {
-      {Mechanism::Explicit, sync::Backend::Std},
-      {Mechanism::Explicit, sync::Backend::Futex},
-      {Mechanism::Baseline, sync::Backend::Std},
-      {Mechanism::Baseline, sync::Backend::Futex},
-      {Mechanism::AutoSynchT, sync::Backend::Std},
-      {Mechanism::AutoSynchT, sync::Backend::Futex},
-      {Mechanism::AutoSynch, sync::Backend::Std},
-      {Mechanism::AutoSynch, sync::Backend::Futex},
-  };
-  return Combos;
-}
-
-std::string comboName(const Combo &C) {
-  return std::string(mechanismName(C.M)) + "/" +
-         sync::backendName(C.B);
-}
-
-/// Runs \p Produce for every combination and asserts each combination's
-/// observable summary equals the first one's (and \p Check holds per run).
+/// Runs \p History for every mechanism and asserts each mechanism's
+/// observable summary equals the first one's.
 void differential(
-    const std::function<std::vector<int64_t>(const Combo &)> &History) {
-  const std::vector<Combo> &Combos = allCombos();
-  std::vector<int64_t> Reference;
-  for (size_t I = 0; I != Combos.size(); ++I) {
-    std::vector<int64_t> Summary = History(Combos[I]);
-    if (I == 0) {
-      Reference = std::move(Summary);
-      continue;
-    }
-    EXPECT_EQ(Summary, Reference)
-        << comboName(Combos[I]) << " diverges from "
-        << comboName(Combos[0]);
-  }
+    const std::function<std::vector<int64_t>(Mechanism)> &History) {
+  std::vector<int64_t> Reference = History(AllMechanisms[0]);
+  for (size_t I = 1; I != std::size(AllMechanisms); ++I)
+    EXPECT_EQ(History(AllMechanisms[I]), Reference)
+        << mechanismName(AllMechanisms[I]) << " diverges from "
+        << mechanismName(AllMechanisms[0]);
 }
 
 TEST(DifferentialOracleTest, BoundedBufferFifoSequence) {
@@ -94,8 +68,8 @@ TEST(DifferentialOracleTest, BoundedBufferFifoSequence) {
   for (int64_t I = 0; I != Items; ++I)
     Produced.push_back(R.range(-1000, 1000));
 
-  differential([&](const Combo &C) {
-    auto B = makeBoundedBuffer(C.M, 8, C.B);
+  differential([&](Mechanism Mech) {
+    auto B = makeBoundedBuffer(Mech, 8);
     std::vector<int64_t> Consumed;
     Consumed.reserve(Items);
     std::thread Producer([&] {
@@ -105,7 +79,7 @@ TEST(DifferentialOracleTest, BoundedBufferFifoSequence) {
     for (int64_t I = 0; I != Items; ++I)
       Consumed.push_back(B->take());
     Producer.join();
-    EXPECT_EQ(Consumed, Produced) << comboName(C) << ": FIFO violated";
+    EXPECT_EQ(Consumed, Produced) << mechanismName(Mech) << ": FIFO violated";
     Consumed.push_back(B->size()); // Must be 0.
     return Consumed;
   });
@@ -122,8 +96,8 @@ TEST(DifferentialOracleTest, BoundedBufferContendedConservation) {
     for (int64_t I = 0; I != PerProducer; ++I)
       V.push_back(R.range(1, 1 << 20));
 
-  differential([&](const Combo &C) {
-    auto B = makeBoundedBuffer(C.M, 4, C.B);
+  differential([&](Mechanism Mech) {
+    auto B = makeBoundedBuffer(Mech, 4);
     std::vector<std::vector<int64_t>> Consumed(Consumers);
     std::vector<std::thread> Pool;
     for (int P = 0; P != Producers; ++P)
@@ -165,8 +139,8 @@ TEST(DifferentialOracleTest, ParamBoundedBufferBatchConservation) {
     Left -= N;
   }
 
-  differential([&](const Combo &C) {
-    auto B = makeParamBoundedBuffer(C.M, 16, C.B);
+  differential([&](Mechanism Mech) {
+    auto B = makeParamBoundedBuffer(Mech, 16);
     std::vector<std::thread> Pool;
     Pool.emplace_back([&] {
       for (int64_t N : Puts)
@@ -186,8 +160,8 @@ TEST(DifferentialOracleTest, ParamBoundedBufferBatchConservation) {
 TEST(DifferentialOracleTest, H2OMoleculeConservation) {
   constexpr int64_t Molecules = 150;
   constexpr int HThreads = 4;
-  differential([&](const Combo &C) {
-    auto W = makeH2O(C.M, C.B);
+  differential([&](Mechanism Mech) {
+    auto W = makeH2O(Mech);
     std::atomic<int64_t> HLeft{2 * Molecules};
     std::vector<std::thread> Pool;
     Pool.emplace_back([&] {
@@ -208,8 +182,8 @@ TEST(DifferentialOracleTest, H2OMoleculeConservation) {
 TEST(DifferentialOracleTest, SleepingBarberEveryCutHappens) {
   constexpr int64_t Cuts = 200;
   constexpr int Customers = 4;
-  differential([&](const Combo &C) {
-    auto S = makeSleepingBarber(C.M, 3, C.B);
+  differential([&](Mechanism Mech) {
+    auto S = makeSleepingBarber(Mech, 3);
     std::atomic<int64_t> CutsLeft{Cuts};
     std::vector<std::thread> Pool;
     Pool.emplace_back([&] {
@@ -233,8 +207,8 @@ TEST(DifferentialOracleTest, SleepingBarberEveryCutHappens) {
 TEST(DifferentialOracleTest, RoundRobinStrictRotation) {
   constexpr int Threads = 4;
   constexpr int64_t Rounds = 120;
-  differential([&](const Combo &C) {
-    auto RR = makeRoundRobin(C.M, Threads, C.B);
+  differential([&](Mechanism Mech) {
+    auto RR = makeRoundRobin(Mech, Threads);
     std::vector<std::thread> Pool;
     for (int T = 0; T != Threads; ++T)
       Pool.emplace_back([&, T] {
@@ -256,8 +230,8 @@ TEST(DifferentialOracleTest, ReadersWritersOpConservation) {
     for (int I = 0; I != 150; ++I)
       S.push_back(R.chance(3, 4));
 
-  differential([&](const Combo &C) {
-    auto RW = makeReadersWriters(C.M, C.B);
+  differential([&](Mechanism Mech) {
+    auto RW = makeReadersWriters(Mech);
     std::vector<std::thread> Pool;
     for (int A = 0; A != Actors; ++A)
       Pool.emplace_back([&, A] {
@@ -280,8 +254,8 @@ TEST(DifferentialOracleTest, ReadersWritersOpConservation) {
 TEST(DifferentialOracleTest, DiningPhilosophersMealConservation) {
   constexpr int Philosophers = 5;
   constexpr int64_t Meals = 80;
-  differential([&](const Combo &C) {
-    auto D = makeDiningPhilosophers(C.M, Philosophers, C.B);
+  differential([&](Mechanism Mech) {
+    auto D = makeDiningPhilosophers(Mech, Philosophers);
     std::vector<std::thread> Pool;
     for (int P = 0; P != Philosophers; ++P)
       Pool.emplace_back([&, P] {
@@ -299,8 +273,8 @@ TEST(DifferentialOracleTest, DiningPhilosophersMealConservation) {
 TEST(DifferentialOracleTest, CyclicBarrierGenerationAccounting) {
   constexpr int Parties = 4;
   constexpr int64_t Generations = 100;
-  differential([&](const Combo &C) {
-    auto B = makeCyclicBarrier(C.M, Parties, C.B);
+  differential([&](Mechanism Mech) {
+    auto B = makeCyclicBarrier(Mech, Parties);
     std::vector<std::vector<int64_t>> Indices(Parties);
     std::vector<std::thread> Pool;
     for (int P = 0; P != Parties; ++P)
@@ -324,8 +298,8 @@ TEST(DifferentialOracleTest, CyclicBarrierGenerationAccounting) {
 TEST(DifferentialOracleTest, SantaClausGroupConservation) {
   constexpr int64_t Deliveries = 20;
   constexpr int64_t Consultations = 60;
-  differential([&](const Combo &C) {
-    auto S = makeSantaClaus(C.M, /*ReindeerTeam=*/5, /*ElfGroup=*/3, C.B);
+  differential([&](Mechanism Mech) {
+    auto S = makeSantaClaus(Mech, /*ReindeerTeam=*/5, /*ElfGroup=*/3);
     std::atomic<int64_t> RLeft{5 * Deliveries};
     std::atomic<int64_t> ELeft{3 * Consultations};
     std::vector<std::thread> Pool;

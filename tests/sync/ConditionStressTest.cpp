@@ -8,7 +8,7 @@
 // The condition manager creates one condition variable per registered
 // predicate, all bound to the monitor mutex, and signals them selectively.
 // These tests hammer exactly that pattern on the raw substrate — many
-// conditions on one mutex, targeted handoffs — on both backends.
+// conditions on one mutex, targeted handoffs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,19 +25,19 @@ using namespace autosynch::sync;
 
 namespace {
 
-class ConditionStressTest : public ::testing::TestWithParam<Backend> {};
+using testutil::Substrate;
+
+class ConditionStressTest : public ::testing::TestWithParam<Substrate> {};
 
 INSTANTIATE_TEST_SUITE_P(Backends, ConditionStressTest,
-                         ::testing::Values(Backend::Std, Backend::Futex),
-                         [](const auto &Info) {
-                           return std::string(backendName(Info.param));
-                         });
+                         ::testing::Values(Substrate::Futex),
+                         [](const auto &) { return "futex"; });
 
 TEST_P(ConditionStressTest, TargetedSignalsWakeOnlyTheirCondition) {
   // N waiters, each on its own condition; release them one by one in a
   // chosen order and verify the order is honored.
   constexpr int N = 16;
-  Mutex M(GetParam());
+  Mutex M;
   std::vector<std::unique_ptr<Condition>> Conds;
   for (int I = 0; I != N; ++I)
     Conds.push_back(M.newCondition());
@@ -98,7 +98,7 @@ TEST_P(ConditionStressTest, ChainedHandoffAcrossConditions) {
   // on its own condition and signals the next — the relay pattern.
   constexpr int K = 8;
   constexpr int Rounds = 500;
-  Mutex M(GetParam());
+  Mutex M;
   std::vector<std::unique_ptr<Condition>> Conds;
   for (int I = 0; I != K; ++I)
     Conds.push_back(M.newCondition());
@@ -130,7 +130,7 @@ TEST_P(ConditionStressTest, ManyConditionsLowTrafficDoNotCrosstalk) {
   // waiter into a spurious exit of its predicate loop with a corrupted
   // state (each waiter re-checks its own flag).
   constexpr int N = 12;
-  Mutex M(GetParam());
+  Mutex M;
   std::vector<std::unique_ptr<Condition>> Conds;
   for (int I = 0; I != N; ++I)
     Conds.push_back(M.newCondition());

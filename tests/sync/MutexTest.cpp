@@ -5,33 +5,44 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Parameterized over both backends (std and futex): mutual exclusion under
-// contention, condition signal/signalAll semantics, and the instrumentation
-// counters.
+// The futex Mutex/Condition: mutual exclusion under contention, condition
+// signal/signalAll semantics, the epoch handshake timed waits rely on, and
+// the instrumentation counters.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "sync/Counters.h"
 #include "sync/Mutex.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
 using namespace autosynch;
 using namespace autosynch::sync;
 
-class MutexTest : public ::testing::TestWithParam<Backend> {};
+namespace {
+
+constexpr uint64_t NeverNs = ~uint64_t{0};
+
+using testutil::Substrate;
+
+class MutexTest : public ::testing::TestWithParam<Substrate> {};
 
 INSTANTIATE_TEST_SUITE_P(Backends, MutexTest,
-                         ::testing::Values(Backend::Std, Backend::Futex),
-                         [](const auto &Info) {
-                           return std::string(backendName(Info.param));
-                         });
+                         ::testing::Values(Substrate::Futex),
+                         [](const auto &) { return "futex"; });
+
+} // namespace
 
 TEST_P(MutexTest, LockUnlockSingleThread) {
-  Mutex M(GetParam());
+  Mutex M;
   M.lock();
   M.unlock();
   M.lock();
@@ -39,7 +50,7 @@ TEST_P(MutexTest, LockUnlockSingleThread) {
 }
 
 TEST_P(MutexTest, TryLockReflectsState) {
-  Mutex M(GetParam());
+  Mutex M;
   EXPECT_TRUE(M.tryLock());
   std::thread([&] { EXPECT_FALSE(M.tryLock()); }).join();
   M.unlock();
@@ -48,7 +59,7 @@ TEST_P(MutexTest, TryLockReflectsState) {
 }
 
 TEST_P(MutexTest, MutualExclusionUnderContention) {
-  Mutex M(GetParam());
+  Mutex M;
   int64_t Counter = 0;
   constexpr int Threads = 8;
   constexpr int64_t Iters = 20000;
@@ -69,7 +80,7 @@ TEST_P(MutexTest, MutualExclusionUnderContention) {
 }
 
 TEST_P(MutexTest, ConditionSignalWakesOneWaiter) {
-  Mutex M(GetParam());
+  Mutex M;
   auto C = M.newCondition();
   bool Ready = false;
 
@@ -90,7 +101,7 @@ TEST_P(MutexTest, ConditionSignalWakesOneWaiter) {
 }
 
 TEST_P(MutexTest, SignalAllWakesEveryWaiter) {
-  Mutex M(GetParam());
+  Mutex M;
   auto C = M.newCondition();
   bool Ready = false;
   int Woken = 0;
@@ -120,7 +131,7 @@ TEST_P(MutexTest, SignalAllWakesEveryWaiter) {
 TEST_P(MutexTest, SignalBeforeAnyWaiterIsNotRemembered) {
   // A condition variable is not a semaphore: a signal with no waiter is
   // lost, and the waiter relies on its predicate re-check.
-  Mutex M(GetParam());
+  Mutex M;
   auto C = M.newCondition();
   M.lock();
   C->signal(); // No waiter: must not break anything.
@@ -143,7 +154,7 @@ TEST_P(MutexTest, SignalBeforeAnyWaiterIsNotRemembered) {
 
 TEST_P(MutexTest, ProducerConsumerHandoffStress) {
   // Two conditions on one mutex, as the monitors use them.
-  Mutex M(GetParam());
+  Mutex M;
   auto NotEmpty = M.newCondition();
   auto NotFull = M.newCondition();
   int64_t Buffer = 0; // 0 = empty, 1 = full.
@@ -180,7 +191,7 @@ TEST_P(MutexTest, ProducerConsumerHandoffStress) {
 }
 
 TEST_P(MutexTest, PerConditionCountersTrackCalls) {
-  Mutex M(GetParam());
+  Mutex M;
   auto C = M.newCondition();
   EXPECT_EQ(C->awaitCount(), 0u);
   EXPECT_EQ(C->signalCount(), 0u);
@@ -199,7 +210,7 @@ TEST_P(MutexTest, GlobalCountersAccumulate) {
   Counters &G = Counters::global();
   CountersSnapshot Before = G.snapshot();
 
-  Mutex M(GetParam());
+  Mutex M;
   auto C = M.newCondition();
   bool Ready = false;
   std::thread Waiter([&] {
@@ -219,4 +230,92 @@ TEST_P(MutexTest, GlobalCountersAccumulate) {
   EXPECT_GE(Delta.Awaits, 1u);
   EXPECT_GE(Delta.Signals, 1u);
   EXPECT_GE(Delta.Wakeups, 1u);
+}
+
+TEST_P(MutexTest, EpochMovedBeforeAwaitUntilReturnsAtOnce) {
+  // A signal after the epoch capture is a wake the waiter must not miss:
+  // awaitUntil sees the epoch has moved and returns without parking.
+  Mutex M;
+  auto C = M.newCondition();
+  M.lock();
+  uint64_t E = C->epoch();
+  C->signal();
+  EXPECT_NE(C->epoch(), E);
+  EXPECT_FALSE(C->awaitUntil(NeverNs, E));
+  M.unlock();
+}
+
+TEST_P(MutexTest, PastDeadlineReturnsTimedOutWithoutBlocking) {
+  Mutex M;
+  auto C = M.newCondition();
+  M.lock();
+  auto T0 = std::chrono::steady_clock::now();
+  // 1 ns after the monotonic clock's epoch: long past.
+  EXPECT_TRUE(C->awaitUntil(/*DeadlineNs=*/1, C->epoch()));
+  EXPECT_LT(std::chrono::steady_clock::now() - T0, std::chrono::seconds(1));
+  M.unlock();
+}
+
+TEST_P(MutexTest, LockFreeSignalRacingAParkingWaiterIsNeverLost) {
+  // Each round the waiter captures the epoch under the lock, checks the
+  // round's flag, announces itself and parks; the signaler sets the flag
+  // and fires a lock-free signal() the moment it sees the announcement,
+  // so the signal lands anywhere in the waiter's unlock / parked-count /
+  // kernel-compare window. The waiter loops on the flag the way every
+  // monitor does, so spurious returns (a late kernel wake from the
+  // previous round) are harmless. A lost wake would leave the waiter
+  // parked forever: the watchdog then fails the test and rescues it with
+  // repeated signalAll(), or aborts if even that cannot wake it, instead
+  // of hanging.
+  constexpr int64_t Rounds = 20000;
+  Mutex M;
+  auto C = M.newCondition();
+  std::atomic<int64_t> Armed{-1}, Sent{0}, Done{0};
+  std::atomic<bool> Abort{false};
+
+  std::thread Waiter([&] {
+    for (int64_t I = 0; I != Rounds && !Abort.load(); ++I) {
+      M.lock();
+      for (;;) {
+        uint64_t E = C->epoch();
+        if (Sent.load() > I || Abort.load())
+          break;
+        Armed.store(I);
+        C->awaitUntil(NeverNs, E);
+      }
+      M.unlock();
+      Done.store(I + 1);
+    }
+  });
+  std::thread Signaler([&] {
+    for (int64_t I = 0; I != Rounds && !Abort.load(); ++I) {
+      while (Armed.load() < I && !Abort.load())
+        std::this_thread::yield();
+      Sent.store(I + 1);
+      C->signal();
+    }
+  });
+
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (Done.load() != Rounds && std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  if (Done.load() != Rounds) {
+    ADD_FAILURE() << "signal lost: the waiter is parked in round "
+                  << Done.load() << " whose signal was sent";
+    Abort.store(true);
+    Signaler.join();
+    Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (Done.load() <= Armed.load()) {
+      if (std::chrono::steady_clock::now() > Deadline) {
+        std::fprintf(stderr, "signalAll cannot wake the parked waiter\n");
+        std::abort();
+      }
+      C->signalAll();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    Waiter.join();
+    return;
+  }
+  Waiter.join();
+  Signaler.join();
 }

@@ -48,60 +48,45 @@ private:
   Shared<int64_t> Count{*this, "count", 0};
 };
 
-MonitorConfig backendConfig(sync::Backend B) {
-  MonitorConfig Cfg;
-  Cfg.Backend = B;
-  return Cfg;
-}
-
 TEST(SpuriousWakeupTest, HookInjectsOnBothBackends) {
-  for (sync::Backend B : {sync::Backend::Std, sync::Backend::Futex}) {
-    SCOPED_TRACE(sync::backendName(B));
-    sync::SpuriousWakeupGuard Inject(1); // Every wait returns spuriously.
-    Cell M(backendConfig(B));
-    // A never-true timed wait now spins through manufactured wakeups; the
-    // deadline check must still terminate it (and once only).
-    auto T0 = std::chrono::steady_clock::now();
-    EXPECT_FALSE(M.awaitAtLeast(1, 20ms));
-    EXPECT_GE(std::chrono::steady_clock::now() - T0, 20ms);
-    EXPECT_EQ(M.stats().Timeouts, 1u);
-  }
+  sync::SpuriousWakeupGuard Inject(1); // Every wait returns spuriously.
+  Cell M;
+  // A never-true timed wait now spins through manufactured wakeups; the
+  // deadline check must still terminate it (and once only).
+  auto T0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(M.awaitAtLeast(1, 20ms));
+  EXPECT_GE(std::chrono::steady_clock::now() - T0, 20ms);
+  EXPECT_EQ(M.stats().Timeouts, 1u);
 }
 
 TEST(SpuriousWakeupTest, NoEarlyFalseUnderInjection) {
-  for (sync::Backend B : {sync::Backend::Std, sync::Backend::Futex}) {
-    SCOPED_TRACE(sync::backendName(B));
-    sync::SpuriousWakeupGuard Inject(3);
-    Cell M(backendConfig(B));
-    constexpr int Rounds = 25;
-    for (int I = 0; I != Rounds; ++I) {
-      std::thread Setter([&] {
-        testutil::awaitWaiters(M, 1);
-        M.add(1);
-      });
-      // Generous deadline: with the predicate guaranteed to turn true,
-      // every spurious trip must re-block, never return false.
-      EXPECT_TRUE(M.awaitAtLeast(I + 1, 30s))
-          << "spurious wakeup surfaced as a timeout";
-      Setter.join();
-    }
-    EXPECT_EQ(M.stats().Timeouts, 0u);
+  sync::SpuriousWakeupGuard Inject(3);
+  Cell M;
+  constexpr int Rounds = 25;
+  for (int I = 0; I != Rounds; ++I) {
+    std::thread Setter([&] {
+      testutil::awaitWaiters(M, 1);
+      M.add(1);
+    });
+    // Generous deadline: with the predicate guaranteed to turn true,
+    // every spurious trip must re-block, never return false.
+    EXPECT_TRUE(M.awaitAtLeast(I + 1, 30s))
+        << "spurious wakeup surfaced as a timeout";
+    Setter.join();
   }
+  EXPECT_EQ(M.stats().Timeouts, 0u);
 }
 
 TEST(SpuriousWakeupTest, TimeoutsCountedExactlyOnceUnderInjection) {
-  for (sync::Backend B : {sync::Backend::Std, sync::Backend::Futex}) {
-    SCOPED_TRACE(sync::backendName(B));
-    sync::SpuriousWakeupGuard Inject(2);
-    Cell M(backendConfig(B));
-    constexpr uint64_t Expiring = 6;
-    for (uint64_t I = 0; I != Expiring; ++I)
-      EXPECT_FALSE(M.awaitAtLeast(1000, 15ms));
-    // Each expiring wait looped through several injected wakeups; the
-    // timeout count must equal the number of false returns exactly.
-    EXPECT_EQ(M.stats().Timeouts, Expiring);
-    EXPECT_EQ(M.stats().TimedWaits, Expiring);
-  }
+  sync::SpuriousWakeupGuard Inject(2);
+  Cell M;
+  constexpr uint64_t Expiring = 6;
+  for (uint64_t I = 0; I != Expiring; ++I)
+    EXPECT_FALSE(M.awaitAtLeast(1000, 15ms));
+  // Each expiring wait looped through several injected wakeups; the
+  // timeout count must equal the number of false returns exactly.
+  EXPECT_EQ(M.stats().Timeouts, Expiring);
+  EXPECT_EQ(M.stats().TimedWaits, Expiring);
 }
 
 TEST(SpuriousWakeupTest, UntimedWaitsSurviveInjectionToo) {

@@ -7,7 +7,7 @@
 //
 // The timeout-aware extension of the differential signaling oracle: timed
 // runs must agree on *completions and timeout sets* across every
-// mechanism x backend combination. Real time is not
+// mechanism. Real time is not
 // deterministic, so the scripts make each timeout certain by
 // construction: an op times out only when the tokens/leases it demands
 // can never materialize again (supply is exhausted and no concurrent
@@ -15,7 +15,7 @@
 // (either immediately satisfiable or fed by a dedicated supplier) under
 // an effectively-unbounded deadline. The observable history — grant
 // counts, timeout counts, and final pool state — is then schedule-
-// independent, and any divergence is a signaling bug in one combination.
+// independent, and any divergence is a signaling bug in one mechanism.
 //
 //===----------------------------------------------------------------------===//
 
@@ -40,60 +40,40 @@ constexpr uint64_t Unbounded = ~uint64_t{0};
 /// the run time does.
 constexpr uint64_t ShortNs = 20u * 1000 * 1000; // 20 ms
 
-struct Combo {
-  Mechanism M;
-  sync::Backend B;
-};
+constexpr Mechanism AllMechanisms[] = {Mechanism::Explicit,
+                                       Mechanism::Baseline,
+                                       Mechanism::AutoSynchT,
+                                       Mechanism::AutoSynch};
 
-std::vector<Combo> allCombos() {
-  std::vector<Combo> Out;
-  for (Mechanism M : {Mechanism::Explicit, Mechanism::Baseline,
-                      Mechanism::AutoSynchT, Mechanism::AutoSynch})
-    for (sync::Backend B : {sync::Backend::Std, sync::Backend::Futex})
-      Out.push_back({M, B});
-  return Out;
-}
-
-std::string comboName(const Combo &C) {
-  return std::string(mechanismName(C.M)) + "/" + sync::backendName(C.B);
-}
-
-/// Runs \p History under every combination; every summary must equal the
+/// Runs \p History under every mechanism; every summary must equal the
 /// first one's.
 void differential(
-    const std::function<std::vector<int64_t>(const Combo &)> &History) {
-  std::vector<Combo> Combos = allCombos();
-  std::vector<int64_t> Reference;
-  for (size_t I = 0; I != Combos.size(); ++I) {
-    std::vector<int64_t> Summary = History(Combos[I]);
-    if (I == 0) {
-      Reference = std::move(Summary);
-      continue;
-    }
-    EXPECT_EQ(Summary, Reference) << comboName(Combos[I])
-                                  << " diverges from "
-                                  << comboName(Combos[0]);
-  }
+    const std::function<std::vector<int64_t>(Mechanism)> &History) {
+  std::vector<int64_t> Reference = History(AllMechanisms[0]);
+  for (size_t I = 1; I != std::size(AllMechanisms); ++I)
+    EXPECT_EQ(History(AllMechanisms[I]), Reference)
+        << mechanismName(AllMechanisms[I]) << " diverges from "
+        << mechanismName(AllMechanisms[0]);
 }
 
 TEST(TimedOracleTest, LeaseManagerTimeoutSets) {
-  differential([](const Combo &C) {
-    auto L = makeLeaseManager(C.M, /*Leases=*/3, C.B);
+  differential([](Mechanism Mech) {
+    auto L = makeLeaseManager(Mech, /*Leases=*/3);
     // Phase 1: drain the pool (certain success).
     for (int I = 0; I != 3; ++I)
-      EXPECT_TRUE(L->acquire(Unbounded)) << comboName(C);
+      EXPECT_TRUE(L->acquire(Unbounded)) << mechanismName(Mech);
     // Phase 2: the pool is empty and nobody will release — every bounded
     // acquire times out, deterministically.
     for (int I = 0; I != 4; ++I)
-      EXPECT_FALSE(L->acquire(ShortNs)) << comboName(C);
+      EXPECT_FALSE(L->acquire(ShortNs)) << mechanismName(Mech);
     // Phase 3: a release from another thread feeds exactly one blocked
     // bounded acquire (certain success: the supply is dedicated to it).
     std::thread Waiter(
-        [&] { EXPECT_TRUE(L->acquire(Unbounded)) << comboName(C); });
+        [&] { EXPECT_TRUE(L->acquire(Unbounded)) << mechanismName(Mech); });
     L->release();
     Waiter.join();
     // Phase 4: empty again; one more certain timeout.
-    EXPECT_FALSE(L->acquire(ShortNs)) << comboName(C);
+    EXPECT_FALSE(L->acquire(ShortNs)) << mechanismName(Mech);
     return std::vector<int64_t>{L->grants(), L->timeouts(),
                                 L->available()};
   });
@@ -113,8 +93,8 @@ TEST(TimedOracleTest, TokenBucketTimeoutSets) {
     TotalDemand += Demands.back();
   }
 
-  differential([&](const Combo &C) {
-    auto B = makeTokenBucket(C.M, Capacity, C.B);
+  differential([&](Mechanism Mech) {
+    auto B = makeTokenBucket(Mech, Capacity);
     // Start full; the refiller replaces exactly what the demands consume
     // beyond the initial fill.
     int64_t RefillBudget = TotalDemand - Capacity;
@@ -136,16 +116,17 @@ TEST(TimedOracleTest, TokenBucketTimeoutSets) {
       }
     });
     for (int64_t N : Demands)
-      EXPECT_TRUE(B->acquire(N, Unbounded)) << comboName(C);
+      EXPECT_TRUE(B->acquire(N, Unbounded)) << mechanismName(Mech);
     Refiller.join();
     // Supply exactly exhausted: the bucket is empty and no refills
     // remain, so every bounded demand now times out.
     for (int I = 0; I != 5; ++I)
-      EXPECT_FALSE(B->acquire(1 + I % Capacity, ShortNs)) << comboName(C);
+      EXPECT_FALSE(B->acquire(1 + I % Capacity, ShortNs))
+          << mechanismName(Mech);
     // One dedicated refill feeds one certain success, restoring a known
     // final state.
     std::thread LastRefill([&] { B->refill(4); });
-    EXPECT_TRUE(B->acquire(4, Unbounded)) << comboName(C);
+    EXPECT_TRUE(B->acquire(4, Unbounded)) << mechanismName(Mech);
     LastRefill.join();
     return std::vector<int64_t>{B->grants(), B->timeouts(), B->tokens()};
   });
@@ -160,10 +141,10 @@ TEST(TimedOracleTest, ContendedLeaseQuotasAgree) {
   // finish and the pool is fully drained by the main thread — keeping its
   // timeout count deterministic while the worker phase still exercises
   // contended timed machinery (their acquires are timed but unbounded).
-  differential([](const Combo &C) {
+  differential([](Mechanism Mech) {
     constexpr int Workers = 4;
     constexpr int64_t Cycles = 50;
-    auto L = makeLeaseManager(C.M, /*Leases=*/2, C.B);
+    auto L = makeLeaseManager(Mech, /*Leases=*/2);
     std::vector<std::thread> Pool;
     for (int W = 0; W != Workers; ++W)
       Pool.emplace_back([&] {

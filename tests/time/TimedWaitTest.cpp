@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Semantics of the deadline runtime at the monitor level, across every
-// automatic mechanism and both sync backends: success before the
+// automatic mechanism: success before the
 // deadline, expiry, predicate-first returns, cancellation (including
 // cross-monitor), plan-cache integration, and the exit-path wheel
 // machinery (expired-waiter retirement never strands a live waiter).
@@ -80,39 +80,19 @@ private:
   VarId N;
 };
 
-struct Combo {
-  SignalPolicy Policy;
-  sync::Backend Backend;
-};
+constexpr SignalPolicy AllPolicies[] = {
+    SignalPolicy::Tagged, SignalPolicy::LinearScan, SignalPolicy::Broadcast};
 
-const std::vector<Combo> &allCombos() {
-  static const std::vector<Combo> Combos = {
-      {SignalPolicy::Tagged, sync::Backend::Std},
-      {SignalPolicy::Tagged, sync::Backend::Futex},
-      {SignalPolicy::LinearScan, sync::Backend::Std},
-      {SignalPolicy::LinearScan, sync::Backend::Futex},
-      {SignalPolicy::Broadcast, sync::Backend::Std},
-      {SignalPolicy::Broadcast, sync::Backend::Futex},
-  };
-  return Combos;
-}
-
-MonitorConfig configOf(const Combo &C) {
+MonitorConfig configOf(SignalPolicy P) {
   MonitorConfig Cfg;
-  Cfg.Policy = C.Policy;
-  Cfg.Backend = C.Backend;
+  Cfg.Policy = P;
   return Cfg;
 }
 
-std::string comboName(const Combo &C) {
-  return std::string(signalPolicyName(C.Policy)) + "/" +
-         sync::backendName(C.Backend);
-}
-
 TEST(TimedWaitTest, AlreadyTrueReturnsImmediately) {
-  for (const Combo &C : allCombos()) {
-    SCOPED_TRACE(comboName(C));
-    TimedCell M(configOf(C));
+  for (SignalPolicy P : AllPolicies) {
+    SCOPED_TRACE(signalPolicyName(P));
+    TimedCell M(configOf(P));
     M.add(5);
     // Zero timeout: predicate-first means success anyway.
     EXPECT_TRUE(M.awaitAtLeastEdsl(5, 0ns));
@@ -123,9 +103,9 @@ TEST(TimedWaitTest, AlreadyTrueReturnsImmediately) {
 }
 
 TEST(TimedWaitTest, TimesOutWhenNeverSatisfied) {
-  for (const Combo &C : allCombos()) {
-    SCOPED_TRACE(comboName(C));
-    TimedCell M(configOf(C));
+  for (SignalPolicy P : AllPolicies) {
+    SCOPED_TRACE(signalPolicyName(P));
+    TimedCell M(configOf(P));
     auto T0 = std::chrono::steady_clock::now();
     EXPECT_FALSE(M.awaitAtLeastEdsl(1, 30ms));
     auto Elapsed = std::chrono::steady_clock::now() - T0;
@@ -140,9 +120,9 @@ TEST(TimedWaitTest, TimesOutWhenNeverSatisfied) {
 }
 
 TEST(TimedWaitTest, SucceedsWhenMadeTrueBeforeDeadline) {
-  for (const Combo &C : allCombos()) {
-    SCOPED_TRACE(comboName(C));
-    TimedCell M(configOf(C));
+  for (SignalPolicy P : AllPolicies) {
+    SCOPED_TRACE(signalPolicyName(P));
+    TimedCell M(configOf(P));
     std::thread Setter([&] {
       testutil::awaitWaiters(M, 1);
       M.add(7);
@@ -154,9 +134,9 @@ TEST(TimedWaitTest, SucceedsWhenMadeTrueBeforeDeadline) {
 }
 
 TEST(TimedWaitTest, ParsedAndEdslShareTimeoutSemantics) {
-  for (const Combo &C : allCombos()) {
-    SCOPED_TRACE(comboName(C));
-    TimedCell M(configOf(C));
+  for (SignalPolicy P : AllPolicies) {
+    SCOPED_TRACE(signalPolicyName(P));
+    TimedCell M(configOf(P));
     EXPECT_FALSE(M.awaitAtLeastParsed(100, 20ms));
     EXPECT_FALSE(M.awaitAtLeastEdsl(100, 20ms));
     EXPECT_EQ(M.stats().Timeouts, 2u);
@@ -197,9 +177,9 @@ TEST(TimedWaitTest, KeylessTimedWaitTimesOutAndSucceeds) {
     Shared<int64_t> Cap{*this, "cap", 10};
   };
 
-  for (const Combo &C : allCombos()) {
-    SCOPED_TRACE(comboName(C));
-    Scaled M(configOf(C));
+  for (SignalPolicy P : AllPolicies) {
+    SCOPED_TRACE(signalPolicyName(P));
+    Scaled M(configOf(P));
     const ConditionManager &Mgr = M.conditionManager();
     auto T0 = std::chrono::steady_clock::now();
     EXPECT_FALSE(M.awaitScaled(2, 20ms));
@@ -222,9 +202,9 @@ TEST(TimedWaitTest, KeylessTimedWaitTimesOutAndSucceeds) {
 }
 
 TEST(TimedWaitTest, CancelTokenAbortsBlockedWait) {
-  for (const Combo &C : allCombos()) {
-    SCOPED_TRACE(comboName(C));
-    TimedCell M(configOf(C));
+  for (SignalPolicy P : AllPolicies) {
+    SCOPED_TRACE(signalPolicyName(P));
+    TimedCell M(configOf(P));
     time::CancelToken Tok;
     std::thread Canceller([&] {
       testutil::awaitWaiters(M, 1);
@@ -243,9 +223,9 @@ TEST(TimedWaitTest, CancelTokenAbortsBlockedWait) {
 }
 
 TEST(TimedWaitTest, CancelledTokenFailsFastWithoutBlocking) {
-  for (const Combo &C : allCombos()) {
-    SCOPED_TRACE(comboName(C));
-    TimedCell M(configOf(C));
+  for (SignalPolicy P : AllPolicies) {
+    SCOPED_TRACE(signalPolicyName(P));
+    TimedCell M(configOf(P));
     time::CancelToken Tok;
     Tok.cancel();
     auto T0 = std::chrono::steady_clock::now();
@@ -292,10 +272,10 @@ TEST(TimedWaitTest, ExpiredWaiterDoesNotStrandSiblings) {
   // under a live waiter. The combinations are independent (one monitor
   // each), so they run side by side and share one 3s deadline.
   std::vector<std::thread> Cells;
-  for (const Combo &C : allCombos()) {
-    Cells.emplace_back([C] {
-      SCOPED_TRACE(comboName(C));
-      TimedCell M(configOf(C));
+  for (SignalPolicy P : AllPolicies) {
+    Cells.emplace_back([P] {
+      SCOPED_TRACE(signalPolicyName(P));
+      TimedCell M(configOf(P));
       std::thread Timed(
           [&] { EXPECT_FALSE(M.awaitAtLeastParsed(9, 3s)); });
       std::thread Long([&] { EXPECT_TRUE(M.awaitAtLeastParsed(9, 60s)); });

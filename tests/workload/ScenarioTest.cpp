@@ -210,7 +210,6 @@ TEST(ScenarioEngineTest2, OpenLoopArrivalsDrainCompletely) {
 
 TEST(ScenarioEngineTest2, FutexBackendRunsThePipeline) {
   RunConfig Cfg;
-  Cfg.Backend = sync::Backend::Futex;
   Cfg.TokensPerSource = 300;
   ScenarioReport R =
       runScenario(findScenario("pipeline")->withWorkers(2), Cfg);

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 //
 // Drives the workload engine's scenario graphs over a sweep of thread
-// counts, signaling mechanisms, and sync backends, printing a per-cell
-// summary table and writing the full results as machine-readable JSON
-// (BENCH_workload.json by default; schema documented in the README).
+// counts and signaling mechanisms, printing a per-cell summary table and
+// writing the full results as machine-readable JSON (BENCH_workload.json
+// by default; schema documented in the README).
 //
 //   autosynch-workbench --scenario=pipeline --threads=8 --tokens=20000
 //   autosynch-workbench --list
@@ -51,7 +51,6 @@ int usage(const char *Argv0, int Code) {
       "                         (default: AUTOSYNCH_BENCH_THREADS or 2..64)\n"
       "  --mechanisms=M[,M...]  explicit,baseline,autosynch-t,autosynch\n"
       "                         (default: all four)\n"
-      "  --backends=B[,B...]    std,futex (default: std)\n"
       "  --tokens=N             tokens per source (default: 10000)\n"
       "  --arrival=MODE         closed, open-uniform, open-poisson\n"
       "                         (default: the scenario's own setting)\n"
@@ -78,7 +77,6 @@ int usage(const char *Argv0, int Code) {
 // results under the default.
 constexpr const char *MechanismChoices =
     "explicit, baseline, autosynch-t, autosynch";
-constexpr const char *BackendChoices = "std, futex";
 constexpr const char *ArrivalChoices = "closed, open-uniform, open-poisson";
 
 bool parseMechanism(std::string_view S, Mechanism &Out) {
@@ -90,16 +88,6 @@ bool parseMechanism(std::string_view S, Mechanism &Out) {
     Out = Mechanism::AutoSynchT;
   else if (S == "autosynch" || S == "AutoSynch")
     Out = Mechanism::AutoSynch;
-  else
-    return false;
-  return true;
-}
-
-bool parseBackend(std::string_view S, sync::Backend &Out) {
-  if (S == "std")
-    Out = sync::Backend::Std;
-  else if (S == "futex")
-    Out = sync::Backend::Futex;
   else
     return false;
   return true;
@@ -139,7 +127,6 @@ int main(int Argc, char **Argv) {
   std::vector<Mechanism> Mechs = {Mechanism::Explicit, Mechanism::Baseline,
                                   Mechanism::AutoSynchT,
                                   Mechanism::AutoSynch};
-  std::vector<sync::Backend> Backends = {sync::Backend::Std};
   std::vector<uint64_t> OpTimeoutsUs = {0};
   RunConfig Base;
   std::string JsonPath = "BENCH_workload.json";
@@ -203,21 +190,6 @@ int main(int Argc, char **Argv) {
       if (Mechs.empty()) {
         std::fprintf(stderr, "%s: empty --mechanisms list\n", Argv[0]);
         return 2; // A zero-cell sweep must not publish as success.
-      }
-    } else if ((V = matchFlag(Arg, "--backends"))) {
-      Backends.clear();
-      for (const std::string &B : splitList(V)) {
-        sync::Backend Backend;
-        if (!parseBackend(B, Backend)) {
-          std::fprintf(stderr, "%s: unknown backend '%s' (valid: %s)\n",
-                       Argv[0], B.c_str(), BackendChoices);
-          return 2;
-        }
-        Backends.push_back(Backend);
-      }
-      if (Backends.empty()) {
-        std::fprintf(stderr, "%s: empty --backends list\n", Argv[0]);
-        return 2;
       }
     } else if ((V = matchFlag(Arg, "--op-timeout-us"))) {
       OpTimeoutsUs.clear();
@@ -314,33 +286,30 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Base.Seed));
   }
 
-  bench::Table Summary({"threads", "mechanism", "backend", "op-to-us", "timeouts", "wall-s", "tokens/s",
-                        "e2e-p50-ms", "e2e-p95-ms", "e2e-p99-ms"});
+  bench::Table Summary({"threads", "mechanism", "op-to-us", "timeouts",
+                        "wall-s", "tokens/s", "e2e-p50-ms", "e2e-p95-ms",
+                        "e2e-p99-ms"});
   std::vector<ScenarioReport> Reports;
   for (int T : Threads) {
     ScenarioSpec Sized = Scenario->withWorkers(T);
     for (Mechanism M : Mechs) {
-      for (sync::Backend B : Backends) {
-        for (uint64_t OtUs : OpTimeoutsUs) {
-          RunConfig Cfg = Base;
-          Cfg.Mech = M;
-          Cfg.Backend = B;
-          Cfg.OpTimeoutNs = OtUs * 1000;
-          ScenarioReport R = runScenario(Sized, Cfg);
-          char Buf[32];
-          auto Fmt = [&Buf](double Val) {
-            std::snprintf(Buf, sizeof(Buf), "%.3f", Val);
-            return std::string(Buf);
-          };
-          Summary.addRow({std::to_string(T), mechanismName(M),
-                          sync::backendName(B), std::to_string(OtUs),
-                          std::to_string(R.OpTimeouts),
-                          Fmt(R.WallSeconds), Fmt(R.Throughput),
-                          Fmt(fmtMs(R.EndToEnd.quantileNanos(0.50))),
-                          Fmt(fmtMs(R.EndToEnd.quantileNanos(0.95))),
-                          Fmt(fmtMs(R.EndToEnd.quantileNanos(0.99)))});
-          Reports.push_back(std::move(R));
-        }
+      for (uint64_t OtUs : OpTimeoutsUs) {
+        RunConfig Cfg = Base;
+        Cfg.Mech = M;
+        Cfg.OpTimeoutNs = OtUs * 1000;
+        ScenarioReport R = runScenario(Sized, Cfg);
+        char Buf[32];
+        auto Fmt = [&Buf](double Val) {
+          std::snprintf(Buf, sizeof(Buf), "%.3f", Val);
+          return std::string(Buf);
+        };
+        Summary.addRow({std::to_string(T), mechanismName(M),
+                        std::to_string(OtUs), std::to_string(R.OpTimeouts),
+                        Fmt(R.WallSeconds), Fmt(R.Throughput),
+                        Fmt(fmtMs(R.EndToEnd.quantileNanos(0.50))),
+                        Fmt(fmtMs(R.EndToEnd.quantileNanos(0.95))),
+                        Fmt(fmtMs(R.EndToEnd.quantileNanos(0.99)))});
+        Reports.push_back(std::move(R));
       }
     }
   }
@@ -359,10 +328,9 @@ int main(int Argc, char **Argv) {
                            R.Plan.BindHits + R.Plan.ColdBinds;
       if (R.Plan.LegacyWaits != 0 || Consulted == 0) {
         std::fprintf(stderr,
-                     "%s: plan-cache assertion failed for %s/%s: "
+                     "%s: plan-cache assertion failed for %s: "
                      "legacy_waits=%llu consulted=%llu\n",
                      Argv[0], mechanismName(R.Mech),
-                     sync::backendName(R.Backend),
                      static_cast<unsigned long long>(R.Plan.LegacyWaits),
                      static_cast<unsigned long long>(Consulted));
         return 1;
@@ -385,11 +353,10 @@ int main(int Argc, char **Argv) {
                            R.Relay.StampShortCircuits;
       if (Exercised == 0) {
         std::fprintf(stderr,
-                     "%s: relay-skip assertion failed for %s/%s: "
+                     "%s: relay-skip assertion failed for %s: "
                      "calls=%llu dirty_skips=0 filtered_exprs=0 "
                      "stamp_short_circuits=0\n",
                      Argv[0], mechanismName(R.Mech),
-                     sync::backendName(R.Backend),
                      static_cast<unsigned long long>(R.Relay.RelayCalls));
         return 1;
       }
@@ -416,7 +383,7 @@ int main(int Argc, char **Argv) {
   JsonWriter J(*OS);
   J.beginObject()
       .member("tool", "autosynch-workbench")
-      .member("version", 5) // Bumped on every schema change (README).
+      .member("version", 6) // Bumped on every schema change (README).
       .member("scenario", Scenario->Name)
       .member("description", Scenario->Description)
       .member("tokens_per_source", Base.TokensPerSource)
