@@ -17,8 +17,8 @@
 //    fresh n every call while the predicate is already true: the pure
 //    bind-and-evaluate check cost.
 //  * edsl-fastpath — the same sweep through the EDSL, on the paper's
-//    `Count + n <= Cap`: the expression template finds its plan by
-//    call-site key and fills the plan's slots from its literals. Reported
+//    `Count + n <= Cap`: the expression template evaluates itself over
+//    the shared slots, with no plan lookup at all. Reported
 //    next to fastpath-sweep as an EDSL/parsed ns-per-op ratio (printed,
 //    not gated: it depends on the host).
 //  * globalize-sweep — a strict producer/consumer handshake where every
@@ -194,6 +194,7 @@ public:
 
   using Monitor::arena;
   using Monitor::conditionManager;
+  using Monitor::planCache;
 
 private:
   Shared<int64_t> Count{*this, "count", 0};
@@ -321,7 +322,7 @@ Cell runSweep(const char *Scenario, int64_t Ops, int Reps) {
     MonitorConfig Cfg = configFor(Mechanism::AutoSynch);
     SweeperT M(Cfg, /*Ceiling=*/Ops + 2);
 
-    M.probe(1); // Warm the parse cache or call-site key, and the plan.
+    M.probe(1); // Warm the parse cache and plan (EDSL: nothing to warm).
     uint64_t Interns0 = M.arena().internCalls();
     uint64_t Heap0 = heapAllocs();
     double T0 = nowSeconds();
@@ -377,9 +378,15 @@ Cell runGlobalizeSweep(int64_t Ops, int Reps) {
       Producer.join();
       Consumer.join();
     };
-    // One round warms the parse cache and both plan shapes; its fill
-    // value is one the measured run never repeats.
-    Rounds(Ops + 1, 1);
+    // Warm-up rounds, with fill values the measured run never repeats,
+    // until both plan shapes are built: the parsed fill plans on its
+    // first call, but an already-true EDSL drain plans nothing, so its
+    // call site is built only once a drain has blocked.
+    int64_t Warm = Ops + 1;
+    do {
+      Rounds(Warm, 2);
+      Warm += 2;
+    } while (M.planCache().numSites() == 0);
     size_t Nodes0 = 0;
     uint64_t Interns0 = 0;
     {

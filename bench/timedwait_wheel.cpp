@@ -5,20 +5,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The deadline-runtime microbench behind BENCH_timedwait.json:
+// The deadline-runtime microbench behind BENCH_timedwait.json (the binary
+// keeps its historical name; the timer wheel it once measured is gone):
 //
-//  * wheel-ops — raw TimerWheel insert+cancel cost over a deadline mix
-//    spanning every level (and the beyond-horizon clamp). Asserted to
-//    stay within a generous sanity bound; the headline number is
-//    reported (expected: tens of ns/op).
 //  * fastpath — already-true waitUntilFor vs. waitUntil on a live
-//    monitor: the timed entry points must not put a clock read or wheel
-//    traffic on the no-block fast path.
+//    monitor: the timed entry points must not put a clock read on the
+//    no-block fast path.
 //  * cycle — a blocking producer/consumer ping-pong (capacity-1 bounded
 //    buffer) with untimed put/take vs. putFor/takeFor under a generous
-//    deadline, per mechanism: the timed hot path's
-//    target is <= 10% overhead (wheel insert+cancel + the bounded block
-//    ride along every park).
+//    deadline, per mechanism: the timed hot path's target is <= 10%
+//    overhead (the far-deadline fallback ticker's park and unpark ride
+//    along every block).
 //  * expiry-accuracy — waitUntilFor on never-true predicates: how late
 //    after the requested deadline does the false return arrive
 //    (p50/p95/max lateness; bounded by the futex timed-wait precision
@@ -31,7 +28,6 @@
 #include "problems/BoundedBuffer.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
-#include "time/TimerWheel.h"
 
 #include <chrono>
 #include <cstdio>
@@ -63,58 +59,6 @@ struct Cell {
   /// expiry-accuracy: lateness beyond the requested deadline.
   uint64_t LatenessP50 = 0, LatenessP95 = 0, LatenessMax = 0;
 };
-
-/// Raw wheel insert+cancel throughput over a level-spanning deadline mix.
-Cell runWheelOps(int64_t Pairs, int Reps) {
-  Cell C;
-  C.Scenario = "wheel-ops";
-  C.Mech = "-";
-  C.Ops = 2 * Pairs; // One insert + one cancel per pair.
-
-  std::vector<time::TimerNode> Nodes(1024);
-  double Best = -1.0;
-  for (int Rep = 0; Rep != Reps; ++Rep) {
-    time::TimerWheel Wheel;
-    Rng R(0x77AEE1 + static_cast<uint64_t>(Rep));
-    uint64_t Base = time::nowNs();
-    // Pre-compute the deadline mix so the measured loop is wheel-only:
-    // near (level 0), mid, far, and beyond-horizon deadlines.
-    std::vector<uint64_t> Deadlines(Nodes.size());
-    for (size_t I = 0; I != Deadlines.size(); ++I) {
-      switch (R.range(0, 3)) {
-      case 0:
-        Deadlines[I] = Base + R.range(0, 1 << 22);
-        break;
-      case 1:
-        Deadlines[I] = Base + R.range(0, 1 << 28);
-        break;
-      case 2:
-        Deadlines[I] = Base + R.range(0, 1ll << 34);
-        break;
-      default:
-        Deadlines[I] = Base + (1ull << 45); // Beyond the horizon.
-      }
-    }
-
-    double T0 = nowSeconds();
-    for (int64_t P = 0; P != Pairs; ++P) {
-      time::TimerNode &N = Nodes[P % Nodes.size()];
-      N.DeadlineNs = Deadlines[P % Deadlines.size()];
-      Wheel.insert(N);
-      Wheel.cancel(N);
-    }
-    double Seconds = nowSeconds() - T0;
-    if (Best < 0 || Seconds < Best) {
-      Best = Seconds;
-      C.NsPerOp = Seconds * 1e9 / static_cast<double>(C.Ops);
-    }
-  }
-  // Sanity bound, deliberately loose for sanitized/loaded CI machines;
-  // the acceptance target (<= 200 ns/op) is read off the JSON.
-  AUTOSYNCH_CHECK(C.NsPerOp < 5000.0,
-                  "timer wheel insert+cancel is pathologically slow");
-  return C;
-}
 
 /// Already-true timed vs. untimed waits: the no-block fast path.
 class FastpathCell : public Monitor {
@@ -270,7 +214,7 @@ void writeJson(const std::vector<Cell> &Cells, const std::string &Path) {
     std::fprintf(stderr, "timedwait_wheel: cannot open %s\n", Path.c_str());
     std::exit(1);
   }
-  OS << "{\n  \"bench\": \"timedwait_wheel\",\n  \"schema\": 2,\n"
+  OS << "{\n  \"bench\": \"timedwait_wheel\",\n  \"schema\": 3,\n"
      << "  \"runs\": [\n";
   for (size_t I = 0; I != Cells.size(); ++I) {
     const Cell &C = Cells[I];
@@ -305,12 +249,10 @@ int main(int Argc, char **Argv) {
   }
 
   banner("timedwait_wheel",
-         "deadline runtime: wheel ops, timed-vs-untimed waituntil, expiry "
-         "accuracy",
+         "deadline runtime: timed-vs-untimed waituntil, expiry accuracy",
          Opts);
 
   std::vector<Cell> Cells;
-  Cells.push_back(runWheelOps(Opts.scaled(200000), Opts.Reps));
   Cells.push_back(runFastpath(Opts.scaled(200000), Opts.Reps));
   for (Mechanism M : {Mechanism::Explicit, Mechanism::AutoSynchT,
                       Mechanism::AutoSynch})

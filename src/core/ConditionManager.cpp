@@ -12,6 +12,7 @@
 #include "expr/Subst.h"
 #include "plan/PlanCache.h"
 #include "sync/Counters.h"
+#include "time/Deadline.h"
 #include "time/FallbackTicker.h"
 
 #include <bit>
@@ -71,7 +72,7 @@ void ConditionManager::flushRelayCounters() {
   FlushedRelay = Cur;
   // The deadline-runtime totals ride the same batching cadence.
   sync::TimedCountersSnapshot Timed{Stats.TimedWaits, Stats.Timeouts,
-                                    Stats.Cancels, Stats.WheelWakeups};
+                                    Stats.Cancels};
   sync::TimedCounters::global().add(Timed - FlushedTimed);
   FlushedTimed = Timed;
 }
@@ -204,8 +205,6 @@ void ConditionManager::activate(Record *R) {
 void ConditionManager::deactivate(Record *R) {
   AUTOSYNCH_CHECK(R->Active, "deactivating an inactive record");
   AUTOSYNCH_CHECK(R->Waiters == 0, "deactivating a record with waiters");
-  AUTOSYNCH_CHECK(R->ExpiredWaiters == 0,
-                  "deactivating a record with unretired expired waiters");
   AUTOSYNCH_CHECK(R->PendingSignals == 0,
                   "deactivating a record with an in-flight signal");
   uint64_t T0 = Timers.start();
@@ -272,13 +271,6 @@ ConditionManager::linearScanFindTrue(const VarSet &Dirty) {
       ++Stats.Search.FilteredExprs;
       continue;
     }
-    if (R->ExpiredWaiters >= R->Waiters) {
-      // Every waiter's deadline has passed; each wakes on its own bounded
-      // block, so a directed signal here would be wasted (see the file
-      // comment for why skipping without evaluating stays sound).
-      ++Stats.Search.ExpiredSkips;
-      continue;
-    }
     ++Stats.Search.PredicateChecks;
     if (recordTrue(R))
       return R;
@@ -288,57 +280,13 @@ ConditionManager::linearScanFindTrue(const VarSet &Dirty) {
 
 ConditionManager::Record *
 ConditionManager::taggedFindTrue(const VarSet &Dirty) {
+  // The index counts every recordTrue call as a predicate check.
   return Index.findTrue(
       [&](ExprRef SharedExpr) { return eval(SharedExpr, SharedEnv).raw(); },
-      [&](Record *R) {
-        // The index counts every call as a predicate check.
-        if (R->ExpiredWaiters >= R->Waiters) {
-          // Mid-scan retirement of expired records: answer "not a
-          // winner" without touching the record's predicate or stamp —
-          // a skip, not a check.
-          ++Stats.Search.ExpiredSkips;
-          --Stats.Search.PredicateChecks;
-          return false;
-        }
-        return recordTrue(R);
-      },
-      &Stats.Search, &Dirty);
-}
-
-void ConditionManager::processExpiry() {
-  // Gate with two relaxed loads before paying for a clock read (and only
-  // then the wheel lock): monitors without timed waiters must not feel
-  // the deadline runtime on their exit paths.
-  if (Wheel.size() == 0)
-    return;
-  uint64_t Now = time::nowNs();
-  if (Now < Wheel.nextDueBoundNs())
-    return;
-
-  ExpiredScratch.clear();
-  if (Wheel.advance(Now, ExpiredScratch) == 0)
-    return;
-  for (time::TimerNode *N : ExpiredScratch) {
-    auto *TW = static_cast<TimedWait *>(N->Owner);
-    AUTOSYNCH_CHECK(TW && !TW->Expired, "timer fired twice for one wait");
-    AUTOSYNCH_CHECK(TW->Rec, "fired timer without a record");
-    TW->Expired = true;
-    ++TW->Rec->ExpiredWaiters;
-    ++Stats.WheelWakeups;
-    // Wake the expired thread promptly (it would otherwise return at its
-    // own bounded block's deadline — this only accelerates). The signal
-    // may land on a sibling waiter of the same record; that thread treats
-    // it as a legal spurious wakeup.
-    TW->Rec->Cond->signal();
-  }
+      [&](Record *R) { return recordTrue(R); }, &Stats.Search, &Dirty);
 }
 
 void ConditionManager::relaySignal(DeferredWake *Defer) {
-  // Exit/wait paths drive the timer wheel's lazy cascade: expired timed
-  // waiters are retired from relay consideration before the search picks
-  // a winner (near-free when no timer is due; see processExpiry).
-  processExpiry();
-
   uint64_t T0 = Timers.start();
   // The process-wide counters are fed in batches, not per exit: a shared
   // fetch_add here would put cross-monitor cache-line contention on the
@@ -414,10 +362,10 @@ void ConditionManager::relaySignal(DeferredWake *Defer) {
 bool ConditionManager::awaitBroadcast(ExprRef Pred, const Env &Locals,
                                       TimedWait *TW) {
   OverlayEnv Combined(Locals, SharedEnv);
-  // Broadcast timed waits never register in the wheel: signalAll on every
-  // exit already wakes them, and their bounded block is its own fallback
-  // tick. The token still needs the registration handshake for a wake
-  // that races the final flag check (see time/CancelToken.h).
+  // Broadcast timed waits never park in the fallback ticker: signalAll on
+  // every exit already wakes them, and their bounded block is its own
+  // expiry tick. The token still needs the registration handshake for a
+  // wake that races the final flag check (see time/CancelToken.h).
   time::CancelScope Scope(TW ? TW->Token : nullptr, BroadcastCond.get());
   if (TW)
     ++Stats.TimedWaits; // On entry, like waitOnRecord: a wait that dies
@@ -477,33 +425,26 @@ bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
   ++TotalWaiters;
   ++Stats.Waits;
   time::CancelScope Scope(TW ? TW->Token : nullptr, R->Cond.get());
-  bool InWheel = false;
   bool Far = false;
   // Near deadlines are detected by the bounded block itself (awaitUntil's
   // verdict is authoritative: the kernel compared against the same
   // monotonic clock), so the near loop needs no per-wakeup clock read —
   // only this entry check, for waits whose deadline already passed before
-  // ever blocking. Far deadlines (beyond the wheel's near horizon) block
+  // ever blocking. Far deadlines (beyond time::FarHorizonNs) block
   // *unbounded* under the epoch handshake and lean on the process-wide
   // fallback tick for their expiry wake: one armed kernel timer for every
   // far wait in the process, instead of one per block.
   bool DeadlinePassed = false;
   if (TW) {
     ++Stats.TimedWaits;
-    TW->Rec = R;
     if (time::isBounded(TW->deadlineNs())) {
       uint64_t Now = time::nowNs();
       DeadlinePassed = Now >= TW->deadlineNs();
-      if (!DeadlinePassed) {
-        if (TW->deadlineNs() - Now <= time::TimerWheel::NearHorizonNs) {
-          Wheel.insert(TW->Node); // O(1); cancelled symmetrically below.
-          InWheel = true;
-        } else {
-          TW->FarN.Cond = R->Cond.get();
-          TW->FarN.DeadlineNs = TW->deadlineNs();
-          time::FallbackTicker::global().add(TW->FarN);
-          Far = true;
-        }
+      if (!DeadlinePassed && TW->deadlineNs() - Now > time::FarHorizonNs) {
+        TW->FarN.Cond = R->Cond.get();
+        TW->FarN.DeadlineNs = TW->deadlineNs();
+        time::FallbackTicker::global().add(TW->FarN);
+        Far = true;
       }
     }
   }
@@ -522,7 +463,7 @@ bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
       Epoch = R->Cond->epoch();
       if (Far)
         DeadlinePassed = time::nowNs() >= TW->deadlineNs();
-      if (DeadlinePassed || TW->Expired || Scope.cancelled()) {
+      if (DeadlinePassed || Scope.cancelled()) {
         Satisfied = false;
         break;
       }
@@ -546,16 +487,8 @@ bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
   }
 
   if (TW) {
-    if (InWheel)
-      Wheel.cancel(TW->Node); // No-op if an exit-path advance fired it.
     if (Far)
       time::FallbackTicker::global().remove(TW->FarN);
-    if (TW->Expired) {
-      AUTOSYNCH_CHECK(R->ExpiredWaiters > 0,
-                      "expired-waiter count out of balance");
-      --R->ExpiredWaiters;
-      TW->Expired = false;
-    }
     if (!Satisfied) {
       if (Scope.cancelled())
         ++Stats.Cancels;

@@ -59,16 +59,13 @@
 ///
 /// Timed waits (the src/time/ deadline runtime): await and awaitBroadcast
 /// take an optional TimedWait carrying a monotonic deadline and an
-/// optional CancelToken. A blocked timed waiter registers in the
-/// per-manager timer wheel (its own lock shard; see time/TimerWheel.h) and
-/// blocks with a *bounded* condvar wait — the wait's own deadline is the
-/// guaranteed fallback tick, so expiry never depends on monitor traffic.
-/// Exit paths additionally drive the wheel's lazy cascade (processExpiry,
-/// polled at the top of every relaySignal through two relaxed loads):
-/// expired waiters are marked, woken, and — via the ExpiredWaiters count —
-/// retired from relay consideration, so a record whose every waiter has
-/// expired is skipped by the search without being evaluated. Three
-/// invariants keep this sound against the dirty-set machinery:
+/// optional CancelToken. A blocked near-deadline waiter blocks with a
+/// *bounded* condvar wait: the wait's own deadline is its expiry tick, so
+/// expiry never depends on monitor traffic, and exit paths pay nothing
+/// for timed waiters (no clock read, no timer store). A far-deadline
+/// waiter blocks unbounded and parks in the process-wide fallback ticker
+/// (time/FallbackTicker.h), which wakes it at its deadline. Two
+/// invariants keep this sound against the relay and dirty-set machinery:
 ///
 ///  * Predicate-first: a waiter that observes its predicate true returns
 ///    true even if its deadline passed or its token fired concurrently —
@@ -76,12 +73,10 @@
 ///  * Baton passing: a timed waiter that leaves unsatisfied re-runs the
 ///    relay before returning, because its wakeup may have consumed (or
 ///    pre-empted) a directed signal another thread now deserves.
-///  * Expired-skip soundness: the relay scan may skip a fully-expired
-///    record without evaluating it, and an empty-handed scan still clears
-///    the dirty set. Safe because nothing ever *waits* on that proof: the
-///    expired waiters wake on their own bounded blocks and self-check, and
-///    any future waiter of the record evaluates the predicate itself
-///    before blocking (and from then on the record is no longer skipped).
+///
+/// The relay does not know about deadlines: it may signal a waiter whose
+/// deadline has just passed. That waiter checks its predicate first, so
+/// it either takes the signal (true) or hands it on (baton passing).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,7 +95,6 @@
 #include "tag/TagIndex.h"
 #include "time/CancelToken.h"
 #include "time/FallbackTicker.h"
-#include "time/TimerWheel.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -128,8 +122,9 @@ struct ManagerStats {
   uint64_t Timeouts = 0;      ///< Timed waits that returned false because
                               ///< their deadline passed.
   uint64_t Cancels = 0;       ///< Waits aborted through a CancelToken.
-  uint64_t WheelWakeups = 0;  ///< Expired waiters noticed (and woken) by
-                              ///< an exit-path wheel advance.
+  uint64_t WheelWakeups = 0;  ///< Always 0: there is no timer wheel any
+                              ///< more. Kept because perfbench/ reads
+                              ///< it.
   uint64_t Registrations = 0; ///< Predicates added to the table.
   uint64_t CacheReuses = 0;   ///< Predicates revived from the inactive cache.
   uint64_t Evictions = 0;     ///< Predicates evicted from the cache.
@@ -163,36 +158,22 @@ struct DeferredWake {
 
 /// The per-monitor condition manager.
 class ConditionManager {
-  struct Record; // Defined below; TimedWait carries a back-pointer.
-
 public:
   /// One in-flight timed (or cancellable) wait: a stack-allocated record
-  /// the blocking thread passes to await or awaitBroadcast. Carries
-  /// the wheel node (intrusive; zero allocation) and the optional token.
-  /// Deadline semantics: Node.DeadlineNs is absolute monotonic
-  /// (time::nowNs domain); time::NeverNs plus a token expresses a
-  /// cancellation-only wait.
+  /// the blocking thread passes to await or awaitBroadcast. Deadline
+  /// semantics: DeadlineNs is absolute monotonic (time::nowNs domain);
+  /// time::NeverNs plus a token expresses a cancellation-only wait.
   struct TimedWait {
     TimedWait(uint64_t DeadlineNs, time::CancelToken *Token)
-        : Token(Token) {
-      Node.DeadlineNs = DeadlineNs;
-      Node.Owner = this;
-    }
+        : DeadlineNs(DeadlineNs), Token(Token) {}
 
-    time::TimerNode Node;
-    /// Far-deadline parking slot (time/FallbackTicker.h); used instead
-    /// of the wheel node when the deadline is beyond the near horizon.
+    uint64_t DeadlineNs;
+    /// Far-deadline parking slot (time/FallbackTicker.h), used when the
+    /// deadline is beyond time::FarHorizonNs.
     time::FarNode FarN;
     time::CancelToken *Token = nullptr;
-    /// The record this wait blocks on; set by waitOnRecord so exit-path
-    /// expiry processing can retire the waiter from the record.
-    Record *Rec = nullptr;
-    /// Marked (under the monitor lock) by an exit-path wheel advance that
-    /// noticed the deadline passed before the waiter's own bounded block
-    /// returned; balanced against Record::ExpiredWaiters on the way out.
-    bool Expired = false;
 
-    uint64_t deadlineNs() const { return Node.DeadlineNs; }
+    uint64_t deadlineNs() const { return DeadlineNs; }
     bool cancelled() const { return Token && Token->cancelled(); }
   };
 
@@ -305,8 +286,7 @@ public:
 private:
   static constexpr size_t InvalidPos = static_cast<size_t>(-1);
 
-  /// One registered (globalized, canonicalized) predicate (declared at
-  /// the top of the class so TimedWait can point at it). Everything but
+  /// One registered (globalized, canonicalized) predicate. Everything but
   /// the condition variable is rebuilt from the signature on registration;
   /// evicted records are recycled whole (see Spare).
   struct Record {
@@ -326,11 +306,6 @@ private:
     uint64_t FalseVersion = 0;
     bool StampValid = false;
     int Waiters = 0;
-    /// Waiters whose deadline an exit-path wheel advance has seen expire
-    /// but whose threads have not finished unwinding yet. When every
-    /// waiter is expired the record is dead weight for the relay: the
-    /// search skips it without evaluating (Search.ExpiredSkips).
-    int ExpiredWaiters = 0;
     int PendingSignals = 0;
     bool Active = false;
     /// Whether the record has an entry in InactiveQueue (at most one).
@@ -378,12 +353,6 @@ private:
   /// deactivate when the last waiter leaves. Returns false only for a
   /// timed wait that left unsatisfied.
   bool waitOnRecord(Record *R, TimedWait *TW);
-
-  /// Drives the timer wheel's lazy cascade from the monitor's wait/exit
-  /// paths: fires due timers, marks their waits expired, retires them
-  /// from relay consideration, and wakes their threads. Two relaxed loads
-  /// and no clock read when no timer could be due.
-  void processExpiry();
 
   /// Full predicate check under the current shared state, answered by the
   /// false-stamp when it is still current.
@@ -448,12 +417,6 @@ private:
   int TotalWaiters = 0;
   int PendingTotal = 0;
   uint64_t UseTick = 0;
-
-  /// The deadline runtime's per-manager timer wheel (its own internal
-  /// lock, sharded off the monitor mutex) and the reusable scratch buffer
-  /// advance() fires into (allocation-free steady state).
-  time::TimerWheel Wheel;
-  std::vector<time::TimerNode *> ExpiredScratch;
 
   /// Dirty-set relay state (all guarded by the monitor lock): variables
   /// written since the last empty-handed relay scan, the global write

@@ -114,52 +114,54 @@ const WaitPlan *Monitor::sitePlan(const EdslWait &W) {
 
 bool Monitor::dispatchWait(const Env &Locals, ParseEntry *Entry,
                            const EdslWait *Edsl, const TimedSpec &TS) {
-  ExprRef Pred = Entry ? Entry->Expr : nullptr;
-  Value Bound[WaitPlan::MaxSlots];
-  const Value *Slot = Bound;
-  const WaitPlan *Plan;
-  if (Edsl) {
-    // Slots come straight from the template's literals.
-    Plan = Edsl->Keyed ? sitePlan(*Edsl) : nullptr;
-    Slot = Edsl->Bound;
-  } else {
-    if (!Entry->Plan) // Memoized on the parse-cache entry.
-      Entry->Plan = Plans.forShape(Pred, Cfg.Limits);
-    Plan = Entry->Plan;
-  }
-  // Shapes beyond the planner (mixed non-linear atoms, slot overflow) and
-  // the canonically-true ones wait without a plan key.
-  WaitPlan::Kind K = Plan ? Plan->kind() : WaitPlan::Kind::Legacy;
-  bool Planned = K == WaitPlan::Kind::Ground || K == WaitPlan::Kind::Slotted;
   // Checked before any policy's wait: Broadcast registers nothing, so it
   // would otherwise block forever.
   constexpr const char *Unsat =
       "waituntil on an unsatisfiable predicate would never return";
-  AUTOSYNCH_CHECK(K != WaitPlan::Kind::Unsatisfiable, Unsat);
-
-  if (K == WaitPlan::Kind::Slotted && !Edsl)
-    Plan->bindFromEnv(Locals, Bound);
-  // Fast path: already true (Fig. 6 checks P first) — the plan's
-  // allocation-free compiled check, or a direct evaluation for keyless
-  // shapes.
-  bool Holds = Planned ? Plan->code().runRawBool(Slots.data(), Slot)
-               : Edsl  ? Edsl->Holds(Edsl->Expr, Slots.data())
-                       : evalBool(Pred, OverlayEnv(Locals, SharedSlots));
-  if (Holds)
-    return true;
-
-  // Blocking from here on. A keyless EDSL wait plans its concrete tree —
-  // a Ground plan per distinct predicate, as the parsed front end would
-  // plan it written with its values inlined.
+  ExprRef Pred = Entry ? Entry->Expr : nullptr;
   auto Concrete = [&] {
     if (!Pred)
       Pred = Edsl->Build(Edsl->Expr, Arena, nullptr);
     return Pred;
   };
-  if (Edsl && !Planned) {
-    Plan = Plans.forShape(Concrete(), Cfg.Limits);
+  Value Bound[WaitPlan::MaxSlots];
+  const Value *Slot = Bound;
+  const WaitPlan *Plan;
+  WaitPlan::Kind K;
+  if (Edsl) {
+    // Fast path: already true (Fig. 6 checks P first). The template
+    // evaluates itself over the shared slots; only a wait that blocks
+    // looks up its plan. An unsatisfiable predicate is never true, so it
+    // always reaches the plan's check below.
+    if (Edsl->Holds(Edsl->Expr, Slots.data()))
+      return true;
+    // Slots come straight from the template's literals. A keyless wait,
+    // or a call site whose shape the planner gives up on, plans its
+    // concrete tree: a Ground plan per distinct predicate, as the parsed
+    // front end would plan it written with its values inlined.
+    Slot = Edsl->Bound;
+    Plan = Edsl->Keyed ? sitePlan(*Edsl) : nullptr;
+    K = Plan ? Plan->kind() : WaitPlan::Kind::Legacy;
+    if (K == WaitPlan::Kind::Legacy || K == WaitPlan::Kind::AlwaysTrue) {
+      Plan = Plans.forShape(Concrete(), Cfg.Limits);
+      K = Plan->kind();
+    }
+    AUTOSYNCH_CHECK(K != WaitPlan::Kind::Unsatisfiable, Unsat);
+  } else {
+    if (!Entry->Plan) // Memoized on the parse-cache entry.
+      Entry->Plan = Plans.forShape(Pred, Cfg.Limits);
+    Plan = Entry->Plan;
     K = Plan->kind();
     AUTOSYNCH_CHECK(K != WaitPlan::Kind::Unsatisfiable, Unsat);
+    if (K == WaitPlan::Kind::Slotted)
+      Plan->bindFromEnv(Locals, Bound);
+    // Fast path: already true — the plan's allocation-free compiled
+    // check, or a direct evaluation for shapes without a plan key.
+    bool Planned =
+        K == WaitPlan::Kind::Ground || K == WaitPlan::Kind::Slotted;
+    if (Planned ? Plan->code().runRawBool(Slots.data(), Slot)
+                : evalBool(Pred, OverlayEnv(Locals, SharedSlots)))
+      return true;
   }
 
   // Declared only now: the already-true path pays nothing for the buffer.
@@ -175,10 +177,12 @@ bool Monitor::dispatchWait(const Env &Locals, ParseEntry *Entry,
       Key.PlanBind = true;
       break;
     case WaitPlan::ResolveStatus::True:
-      // "True under any shared state" contradicts the fast check above;
-      // resolution and the compiled check derive from the same canonical
-      // form, so this is unreachable.
-      AUTOSYNCH_CHECK(false, "plan resolution diverged from evaluation");
+      // True under any shared state. The parsed fast check ran this
+      // plan's canonical form, so only an EDSL wait gets here: its
+      // template evaluates with wrapping int64 arithmetic, which the
+      // canonical form does not model (`Count + 1 > Count` at INT64_MAX).
+      // The canonical verdict stands.
+      AUTOSYNCH_CHECK(Edsl, "plan resolution diverged from evaluation");
       return true;
     case WaitPlan::ResolveStatus::False:
       AUTOSYNCH_CHECK(false, Unsat);

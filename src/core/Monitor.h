@@ -38,13 +38,15 @@
 /// Two predicate front ends with identical behaviour:
 ///  * the EDSL (expression templates over Shared<T>, expr/Builder.h):
 ///    local values are captured as literals — globalization done by
-///    construction. The template's C++ type is the predicate's shape, so
-///    a wait finds its plan by shape id and key (PlanCache) and fills the
-///    plan's slots straight from the literals: the arena sees a shape once
-///    per key, and a warm wait neither interns nor allocates. Only
-///    blocking waits that carry no plan key (shapes the planner cannot
-///    parameterize, more literals than a plan has slots, key overflow)
-///    and Broadcast's blocking waits build the concrete tree;
+///    construction. An already-true wait only evaluates the template over
+///    the shared slots: no plan lookup, no arena. The template's C++ type
+///    is the predicate's shape, so a wait that blocks finds its plan by
+///    shape id and key (PlanCache) and fills the plan's slots straight
+///    from the literals: the arena sees a shape once per key, and a warm
+///    wait neither interns nor allocates. Only blocking waits that carry
+///    no plan key (shapes the planner cannot parameterize, more literals
+///    than a plan has slots, key overflow) and Broadcast's blocking waits
+///    build the concrete tree;
 ///  * parsed strings: locals stay symbolic, are parsed once (cached), and
 ///    are globalized per call from the provided bindings — the path the
 ///    autosynchc translator emits.
@@ -353,7 +355,8 @@ private:
 
   /// An EDSL wait, type-erased for the out-of-line pipeline: its
   /// call-site key and slot values as scanned from the template, and
-  /// callbacks over the template for the paths that need more.
+  /// callbacks over the template: Holds for the already-true check, Build
+  /// for the blocking paths that need a tree.
   struct EdslWait {
     PlanCache::SiteKey Key;
     /// False when the shape has more literals than a plan has slots (or
@@ -423,8 +426,9 @@ private:
   /// Exactly one of \p Entry (parsed) and \p Edsl is set.
   bool waitUntilImpl(const Env &Locals, ParseEntry *Entry,
                      const EdslWait *Edsl, const TimedSpec &TS);
-  /// Picks the plan, runs the one already-true check, resolves the plan
-  /// key, and hands the blocking wait to the policy's entry point.
+  /// Runs the one already-true check (an EDSL wait before any plan
+  /// lookup), then picks the plan, resolves its key, and hands the
+  /// blocking wait to the policy's entry point.
   bool dispatchWait(const Env &Locals, ParseEntry *Entry,
                     const EdslWait *Edsl, const TimedSpec &TS);
 

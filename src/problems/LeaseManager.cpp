@@ -81,7 +81,7 @@ private:
 };
 
 /// Automatic-signal implementation: one timed waituntil, no conditions,
-/// no signals. The bound rides the deadline runtime (timer wheel +
+/// no signals. The bound rides the deadline runtime (the waiter's own
 /// bounded block); the shared predicate `free > 0` is eagerly registered
 /// like the paper's Fig. 5 constructors.
 class AutoLeaseManager final : public LeaseManagerIface, private Monitor {

@@ -90,7 +90,7 @@ private:
 /// Automatic-signal implementation: the per-call demand is a *local* in a
 /// parsed predicate, so timed waits run the full globalize-once slotted
 /// plan path (threshold tags direct the relay; the deadline rides the
-/// timer wheel).
+/// waiter's own bounded block).
 class AutoTokenBucket final : public TokenBucketIface, private Monitor {
 public:
   AutoTokenBucket(int64_t Capacity, const MonitorConfig &Cfg)

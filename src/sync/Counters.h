@@ -159,14 +159,10 @@ struct TimedCountersSnapshot {
   uint64_t TimedWaits = 0;   ///< Timed waits that reached the blocking path.
   uint64_t Timeouts = 0;     ///< Timed waits that returned false on expiry.
   uint64_t Cancels = 0;      ///< Waits aborted through a CancelToken.
-  uint64_t WheelWakeups = 0; ///< Expiry wakes issued by exit-path wheel
-                             ///< advances (the lazy cascade noticing an
-                             ///< expired waiter before its own bounded
-                             ///< block returns).
 
   TimedCountersSnapshot operator-(const TimedCountersSnapshot &R) const {
     return {TimedWaits - R.TimedWaits, Timeouts - R.Timeouts,
-            Cancels - R.Cancels, WheelWakeups - R.WheelWakeups};
+            Cancels - R.Cancels};
   }
 };
 
@@ -182,28 +178,24 @@ public:
     TimedWaits.fetch_add(D.TimedWaits, std::memory_order_relaxed);
     Timeouts.fetch_add(D.Timeouts, std::memory_order_relaxed);
     Cancels.fetch_add(D.Cancels, std::memory_order_relaxed);
-    WheelWakeups.fetch_add(D.WheelWakeups, std::memory_order_relaxed);
   }
 
   TimedCountersSnapshot snapshot() const {
     return {TimedWaits.load(std::memory_order_relaxed),
             Timeouts.load(std::memory_order_relaxed),
-            Cancels.load(std::memory_order_relaxed),
-            WheelWakeups.load(std::memory_order_relaxed)};
+            Cancels.load(std::memory_order_relaxed)};
   }
 
   void reset() {
     TimedWaits.store(0, std::memory_order_relaxed);
     Timeouts.store(0, std::memory_order_relaxed);
     Cancels.store(0, std::memory_order_relaxed);
-    WheelWakeups.store(0, std::memory_order_relaxed);
   }
 
 private:
   std::atomic<uint64_t> TimedWaits{0};
   std::atomic<uint64_t> Timeouts{0};
   std::atomic<uint64_t> Cancels{0};
-  std::atomic<uint64_t> WheelWakeups{0};
 };
 
 } // namespace autosynch::sync

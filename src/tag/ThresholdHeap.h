@@ -54,11 +54,6 @@ struct TagSearchStats {
                                 ///< None/linear-scan records) skipped
                                 ///< because their read set cannot
                                 ///< intersect the relay dirty set.
-  uint64_t ExpiredSkips = 0;    ///< Records skipped mid-scan because every
-                                ///< waiter's deadline already expired: a
-                                ///< directed signal would be wasted on a
-                                ///< thread that is leaving anyway (it
-                                ///< wakes on its own bounded block).
 };
 
 /// A heap of threshold tags for one shared expression and one bound

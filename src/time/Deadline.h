@@ -31,7 +31,7 @@ inline constexpr uint64_t NeverNs = ~uint64_t{0};
 /// INT64_MAX nanoseconds (the sentinel, or a saturating now+timeout sum
 /// ~292 years out) are unbounded in effect — the monotonic clock's
 /// signed representation never reaches them — and the runtime treats
-/// them as never: no timer-wheel registration, no expiry.
+/// them as never: no timer, no expiry.
 inline constexpr bool isBounded(uint64_t DeadlineNs) {
   return DeadlineNs < (~uint64_t{0} >> 1);
 }

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The deadline runtime's fallback tick for *far* deadlines (beyond
-/// TimerWheel::NearHorizonNs). A near-deadline waiter blocks with a
+/// FarHorizonNs). A near-deadline waiter blocks with a
 /// kernel-bounded condvar wait — precise, but every such block arms a
 /// kernel timer, which alone costs ~10% on a blocking wait/signal cycle
 /// even for hand-written pthread-style code. A far-deadline waiter
@@ -52,6 +52,12 @@ class Condition;
 } // namespace autosynch::sync
 
 namespace autosynch::time {
+
+/// The near/far split: a wait whose deadline is more than this (~4.3 s)
+/// away when it blocks parks here and blocks unbounded; a nearer one
+/// blocks with its own kernel-bounded wait, which is precise and needs no
+/// sweeper round trip.
+inline constexpr uint64_t FarHorizonNs = uint64_t{1} << 32;
 
 /// One parked far wait; embedded in the waiter's stack frame (the
 /// condition manager's TimedWait). All fields are ticker-internal while

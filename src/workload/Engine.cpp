@@ -450,7 +450,7 @@ void workload::writeReportJson(const ScenarioReport &R, JsonWriter &J) {
   // Schema v4: the deadline-runtime block. op_timeout_ns echoes the
   // per-op bound in force (0 = untimed run), op_timeouts totals the
   // per-stage expiry counts, and the "time" counters are the process-wide
-  // deadline-runtime deltas.
+  // deadline-runtime deltas (schema v7 dropped "wheel_wakeups").
   J.member("op_timeout_ns", R.OpTimeoutNs)
       .member("op_timeouts", R.OpTimeouts);
   J.key("time");
@@ -458,7 +458,6 @@ void workload::writeReportJson(const ScenarioReport &R, JsonWriter &J) {
       .member("timed_waits", R.Time.TimedWaits)
       .member("timeouts", R.Time.Timeouts)
       .member("cancels", R.Time.Cancels)
-      .member("wheel_wakeups", R.Time.WheelWakeups)
       .endObject();
   J.key("stages");
   J.beginArray();

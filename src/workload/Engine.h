@@ -100,7 +100,7 @@ struct ScenarioReport {
   /// read-set-filtered index entries, stamp short-circuits.
   sync::RelayCountersSnapshot Relay;
   /// Deadline-runtime deltas over the run (process-wide): timed waits
-  /// that blocked, expiries, cancels, exit-path wheel wakeups.
+  /// that blocked, expiries, cancels.
   sync::TimedCountersSnapshot Time;
   /// The per-op deadline in force (RunConfig::OpTimeoutNs) and the total
   /// op expiries across stages.

@@ -160,6 +160,12 @@ public:
     Region R(*this);
     waitUntil(X + Other.X >= 0);
   }
+  /// Waits on `Other.X >= 0`: only a foreign leaf, whose VarId also
+  /// names this monitor's `x`, so it would read true from these slots.
+  void waitForeign(PairedMonitor &Other) {
+    Region R(*this);
+    waitUntil(Other.X >= 0);
+  }
   void waitOwn() {
     Region R(*this);
     waitUntil(X + X >= 0);
@@ -174,6 +180,10 @@ TEST_F(BuilderTest, MixingArenasIsFatal) {
   // monitors' leaves is rejected before it reaches either.
   PairedMonitor M1, M2;
   EXPECT_DEATH(M1.waitMixed(M2),
+               "predicate built against a different monitor");
+  // The leaf-owner check runs before the already-true check: a foreign
+  // predicate must die even where evaluating it would return at once.
+  EXPECT_DEATH(M1.waitForeign(M2),
                "predicate built against a different monitor");
   M1.waitOwn(); // The same shape over one monitor is fine.
 }

@@ -7,13 +7,14 @@
 //
 // The WaitPlan cache: one plan per predicate *shape*, bound per call with
 // the thread's local values. Covered here: shape reuse across distinct
-// values (both front ends), allocation-freedom of the steady-state bind
-// path, cold binds that register without touching the arena, unification
-// with records registered through other routes, the tag a cold bind's
-// record carries, the interaction with the inactive cache's eviction
-// limit, waits that register without a plan key (Legacy shapes and key
-// overflow), fatal unsatisfiable bindings under every policy, and a
-// differential run against the Broadcast policy, which registers nothing.
+// values (both front ends), an already-true EDSL wait that plans nothing,
+// allocation-freedom of the steady-state bind path, cold binds that
+// register without touching the arena, unification with records
+// registered through other routes, the tag a cold bind's record carries,
+// the interaction with the inactive cache's eviction limit, waits that
+// register without a plan key (Legacy shapes and key overflow), fatal
+// unsatisfiable bindings under every policy, and a differential run
+// against the Broadcast policy, which registers nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <thread>
@@ -108,6 +110,27 @@ TEST(PlanCacheTest, EdslLiteralsShareOneShape) {
   EXPECT_EQ(M.planCache().numSites(), 1u) << "one call site, one key";
   EXPECT_EQ(P.ShapeBuilds, 1u) << "Level >= 2 and Level >= 8 are one shape";
   EXPECT_EQ(M.conditionManager().stats().Registrations, 4u);
+}
+
+TEST(PlanCacheTest, EdslAlreadyTrueWaitPlansNothing) {
+  // An already-true EDSL wait is only its check: the template evaluates
+  // itself once, and no call site is looked up, planned or interned
+  // until a wait on it blocks.
+  PoolMonitor M;
+  M.deposit(10);
+  size_t Nodes0 = M.arena().numNodes();
+  uint64_t Evals0 = predicateEvalCount();
+  M.withdrawEdsl(3);
+  EXPECT_EQ(predicateEvalCount() - Evals0, 1u);
+  EXPECT_EQ(M.planCache().numSites(), 0u);
+  EXPECT_EQ(M.planCache().stats().ShapeBuilds, 0u);
+  EXPECT_EQ(M.arena().numNodes(), Nodes0);
+
+  // Level is 7: the first wait that blocks builds exactly one site.
+  blockedWithdraw(M, 20, [&](int64_t V) { M.withdrawEdsl(V); });
+  EXPECT_EQ(M.planCache().numSites(), 1u);
+  EXPECT_EQ(M.planCache().stats().ShapeBuilds, 1u);
+  EXPECT_EQ(M.level(), 7);
 }
 
 TEST(PlanCacheTest, EdslKeySeparatesVariables) {
@@ -495,6 +518,33 @@ TEST(PlanCacheTest, GuardedDisjunctionTakesTrueBranchImmediately) {
   M.wait(0);
   M.wait(-3);
   EXPECT_EQ(M.conditionManager().stats().Waits, 0u);
+}
+
+TEST(PlanCacheTest, EdslWaitTrueForEveryStateReturnsWhenTheTemplateWraps) {
+  // `Count + 1 > Count` resolves to true for every shared state, but the
+  // template's own check wraps at INT64_MAX and reads false there. The
+  // wait that then plans must take the plan's verdict and return.
+  class Wrap : public Monitor {
+  public:
+    explicit Wrap(MonitorConfig Cfg) : Monitor(Cfg) {
+      synchronized([this] { Count = INT64_MAX; });
+    }
+    bool wait() {
+      Region R(*this);
+      return waitUntilFor(Count + 1 > Count, std::chrono::milliseconds(0));
+    }
+
+  private:
+    Shared<int64_t> Count{*this, "count", 0};
+  };
+  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan,
+                         SignalPolicy::Broadcast}) {
+    SCOPED_TRACE(signalPolicyName(P));
+    MonitorConfig Cfg;
+    Cfg.Policy = P;
+    Wrap M(Cfg);
+    EXPECT_TRUE(M.wait());
+  }
 }
 
 TEST(PlanCacheTest, LegacyShapeRegistersThroughTheUncachedPipeline) {

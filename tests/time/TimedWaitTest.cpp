@@ -8,8 +8,8 @@
 // Semantics of the deadline runtime at the monitor level, across every
 // automatic mechanism: success before the
 // deadline, expiry, predicate-first returns, cancellation (including
-// cross-monitor), plan-cache integration, and the exit-path wheel
-// machinery (expired-waiter retirement never strands a live waiter).
+// cross-monitor), plan-cache integration, and expiry under exit traffic
+// (a waiter that times out never strands a live sibling).
 //
 //===----------------------------------------------------------------------===//
 
@@ -266,11 +266,11 @@ TEST(TimedWaitTest, OneTokenCancelsWaitsAcrossMonitors) {
 
 TEST(TimedWaitTest, ExpiredWaiterDoesNotStrandSiblings) {
   // A timed waiter and a long-deadline waiter share one predicate
-  // record. The timed one expires while exit-path traffic drives the
-  // wheel; the long one must still be woken when the predicate turns
-  // true — retirement of expired waiters must never retire the record
-  // under a live waiter. The combinations are independent (one monitor
-  // each), so they run side by side and share one 3s deadline.
+  // record. The timed one expires on its own bounded block while exit
+  // traffic runs; the long one must still be woken when the predicate
+  // turns true — a waiter leaving on timeout must never take the record
+  // down under a live sibling. The combinations are independent (one
+  // monitor each), so they run side by side and share one 3s deadline.
   std::vector<std::thread> Cells;
   for (SignalPolicy P : AllPolicies) {
     Cells.emplace_back([P] {
@@ -321,17 +321,16 @@ TEST(TimedWaitTest, HandoffAtDeadlineIsAcceptedNotStolen) {
 }
 
 TEST(TimedWaitTest, WheelWakeupsRetireExpiredWaitersUnderTraffic) {
-  // With a long condvar bound (deadline far) but... here the waiter's own
-  // bound equals the deadline, so wheel wakeups only accelerate; assert
-  // the machinery engages at all under exit traffic: stats from the
-  // workload run already cover >0, here we check the counter is wired.
+  // A near-deadline waiter under steady exit traffic: its own bounded
+  // block is the only expiry tick (exits read no clock), so it must time
+  // out exactly once and return false while the traffic goes on.
   TimedCell M;
   std::thread Timed([&] { EXPECT_FALSE(M.awaitAtLeastEdsl(1000, 60ms)); });
   testutil::awaitWaiters(M, 1);
   auto Deadline = std::chrono::steady_clock::now() + 2s;
   while (M.timeoutsSync() == 0 &&
          std::chrono::steady_clock::now() < Deadline)
-    std::this_thread::sleep_for(1ms); // Each poll enters/exits: expiry.
+    std::this_thread::sleep_for(1ms); // Each poll enters and exits.
   Timed.join();
   EXPECT_EQ(M.stats().Timeouts, 1u);
 }

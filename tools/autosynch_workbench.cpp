@@ -383,7 +383,7 @@ int main(int Argc, char **Argv) {
   JsonWriter J(*OS);
   J.beginObject()
       .member("tool", "autosynch-workbench")
-      .member("version", 6) // Bumped on every schema change (README).
+      .member("version", 7) // Bumped on every schema change (README).
       .member("scenario", Scenario->Name)
       .member("description", Scenario->Description)
       .member("tokens_per_source", Base.TokensPerSource)
