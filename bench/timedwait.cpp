@@ -1,12 +1,11 @@
-//===- bench/timedwait_wheel.cpp - Deadline-runtime microbench -------------===//
+//===- bench/timedwait.cpp - Deadline-runtime microbench -------------------===//
 //
 // Part of AutoSynch-C++, a reproduction of "AutoSynch: An Automatic-Signal
 // Monitor Based on Predicate Tagging" (Hung & Garg, PLDI 2013).
 //
 //===----------------------------------------------------------------------===//
 //
-// The deadline-runtime microbench behind BENCH_timedwait.json (the binary
-// keeps its historical name; the timer wheel it once measured is gone):
+// The deadline-runtime microbench behind BENCH_timedwait.json:
 //
 //  * fastpath — already-true waitUntilFor vs. waitUntil on a live
 //    monitor: the timed entry points must not put a clock read on the
@@ -14,12 +13,12 @@
 //  * cycle — a blocking producer/consumer ping-pong (capacity-1 bounded
 //    buffer) with untimed put/take vs. putFor/takeFor under a generous
 //    deadline, per mechanism: the timed hot path's target is <= 10%
-//    overhead (the far-deadline fallback ticker's park and unpark ride
-//    along every block).
+//    overhead (every timed block is one futex wait on an absolute
+//    deadline, where an untimed block passes none).
 //  * expiry-accuracy — waitUntilFor on never-true predicates: how late
 //    after the requested deadline does the false return arrive
 //    (p50/p95/max lateness; bounded by the futex timed-wait precision
-//    since the waiter's own block is the fallback tick).
+//    since the waiter's own block is its expiry tick).
 //
 //===----------------------------------------------------------------------===//
 
@@ -118,9 +117,9 @@ Cell runCycle(Mechanism Mech, int64_t Ops, int Reps) {
 
   constexpr uint64_t Generous = 10ull * 1000 * 1000 * 1000; // 10 s.
   {
-    // Warm-up: the first far-deadline wait in the process spawns the
-    // fallback-ticker thread; keep that one-time cost out of the
-    // measured loop.
+    // Warm-up: one timed put and take before the measured loop, so the
+    // process's first-use costs (cold code, first allocator and counter
+    // page touches) land here.
     auto B = makeBoundedBuffer(Mech, 1);
     int64_t Out;
     AUTOSYNCH_CHECK(B->putFor(0, Generous) && B->takeFor(Out, Generous),
@@ -162,9 +161,9 @@ Cell runCycle(Mechanism Mech, int64_t Ops, int Reps) {
   C.Overhead = BestUntimed > 0 ? BestTimed / BestUntimed : 0.0;
   // Sanity bound (generous: loaded CI machines bounce several percent
   // per run; sub-5k-op smoke runs are pure noise and skip it). The
-  // acceptance target — <= 10% for the automatic mechanisms, courtesy
-  // of the far-deadline fallback tick replacing per-block kernel
-  // timers — is read off the JSON.
+  // acceptance target — <= 10% for the automatic mechanisms, whose timed
+  // block differs from the untimed one only by the deadline it hands
+  // the kernel — is read off the JSON.
   if (isAutomatic(Mech) && Ops >= 5000)
     AUTOSYNCH_CHECK(C.Overhead < 1.5,
                     "timed wait cycle overhead regressed pathologically");
@@ -211,10 +210,10 @@ Cell runExpiryAccuracy(int Waits, int Reps) {
 void writeJson(const std::vector<Cell> &Cells, const std::string &Path) {
   std::ofstream OS(Path);
   if (!OS) {
-    std::fprintf(stderr, "timedwait_wheel: cannot open %s\n", Path.c_str());
+    std::fprintf(stderr, "timedwait: cannot open %s\n", Path.c_str());
     std::exit(1);
   }
-  OS << "{\n  \"bench\": \"timedwait_wheel\",\n  \"schema\": 3,\n"
+  OS << "{\n  \"bench\": \"timedwait\",\n  \"schema\": 4,\n"
      << "  \"runs\": [\n";
   for (size_t I = 0; I != Cells.size(); ++I) {
     const Cell &C = Cells[I];
@@ -248,7 +247,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  banner("timedwait_wheel",
+  banner("timedwait",
          "deadline runtime: timed-vs-untimed waituntil, expiry accuracy",
          Opts);
 

@@ -13,7 +13,6 @@
 #include "plan/PlanCache.h"
 #include "sync/Counters.h"
 #include "time/Deadline.h"
-#include "time/FallbackTicker.h"
 
 #include <bit>
 
@@ -359,18 +358,28 @@ void ConditionManager::relaySignal(DeferredWake *Defer) {
 // Waiting (paper Fig. 6)
 //===----------------------------------------------------------------------===//
 
+/// Whether a timed wait's deadline has passed before it ever blocks: the
+/// one clock read of a timed block loop. After that, awaitUntil's verdict
+/// is authoritative (the kernel compared against the same monotonic
+/// clock), so wakeups read no clock.
+static bool deadlinePassedOnEntry(const ConditionManager::TimedWait *TW) {
+  return TW && time::isBounded(TW->DeadlineNs) &&
+         time::nowNs() >= TW->DeadlineNs;
+}
+
 bool ConditionManager::awaitBroadcast(ExprRef Pred, const Env &Locals,
                                       TimedWait *TW) {
   OverlayEnv Combined(Locals, SharedEnv);
-  // Broadcast timed waits never park in the fallback ticker: signalAll on
-  // every exit already wakes them, and their bounded block is its own
-  // expiry tick. The token still needs the registration handshake for a
-  // wake that races the final flag check (see time/CancelToken.h).
+  // signalAll on every exit wakes a broadcast waiter, and a timed one's
+  // bounded block is its own expiry tick. The token still needs the
+  // registration handshake for a wake that races the final flag check
+  // (see time/CancelToken.h).
   time::CancelScope Scope(TW ? TW->Token : nullptr, BroadcastCond.get());
   if (TW)
     ++Stats.TimedWaits; // On entry, like waitOnRecord: a wait that dies
                         // at its first deadline check still counts, so
                         // Timeouts <= TimedWaits holds for every policy.
+  bool DeadlinePassed = deadlinePassedOnEntry(TW);
   bool Waited = false;
   // The caller saw the predicate false under the lock, so the loop checks
   // it only after each wakeup.
@@ -380,8 +389,7 @@ bool ConditionManager::awaitBroadcast(ExprRef Pred, const Env &Locals,
         ++Stats.Cancels;
         return false;
       }
-      if (time::isBounded(TW->deadlineNs()) &&
-          time::nowNs() >= TW->deadlineNs()) {
+      if (DeadlinePassed) {
         ++Stats.Timeouts;
         return false;
       }
@@ -407,7 +415,7 @@ bool ConditionManager::awaitBroadcast(ExprRef Pred, const Env &Locals,
       // sync/Mutex.h on the closed lost-notify window).
       uint64_t Epoch = BroadcastCond->epoch();
       if (!Scope.cancelled())
-        BroadcastCond->awaitUntil(TW->deadlineNs(), Epoch);
+        DeadlinePassed = BroadcastCond->awaitUntil(TW->DeadlineNs, Epoch);
     } else {
       BroadcastCond->await();
     }
@@ -425,29 +433,9 @@ bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
   ++TotalWaiters;
   ++Stats.Waits;
   time::CancelScope Scope(TW ? TW->Token : nullptr, R->Cond.get());
-  bool Far = false;
-  // Near deadlines are detected by the bounded block itself (awaitUntil's
-  // verdict is authoritative: the kernel compared against the same
-  // monotonic clock), so the near loop needs no per-wakeup clock read —
-  // only this entry check, for waits whose deadline already passed before
-  // ever blocking. Far deadlines (beyond time::FarHorizonNs) block
-  // *unbounded* under the epoch handshake and lean on the process-wide
-  // fallback tick for their expiry wake: one armed kernel timer for every
-  // far wait in the process, instead of one per block.
-  bool DeadlinePassed = false;
-  if (TW) {
+  if (TW)
     ++Stats.TimedWaits;
-    if (time::isBounded(TW->deadlineNs())) {
-      uint64_t Now = time::nowNs();
-      DeadlinePassed = Now >= TW->deadlineNs();
-      if (!DeadlinePassed && TW->deadlineNs() - Now > time::FarHorizonNs) {
-        TW->FarN.Cond = R->Cond.get();
-        TW->FarN.DeadlineNs = TW->deadlineNs();
-        time::FallbackTicker::global().add(TW->FarN);
-        Far = true;
-      }
-    }
-  }
+  bool DeadlinePassed = deadlinePassedOnEntry(TW);
 
   bool Satisfied;
   while (true) {
@@ -457,12 +445,10 @@ bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
     }
     uint64_t Epoch = 0;
     if (TW) {
-      // Epoch before the flag checks: a cancel or expiry wake that lands
-      // after this line bumps it, and awaitUntil then returns
-      // immediately — the lost-notify window is closed (sync/Mutex.h).
+      // Epoch before the flag checks: a cancel wake that lands after
+      // this line bumps it, and awaitUntil then returns immediately —
+      // the lost-notify window is closed (sync/Mutex.h).
       Epoch = R->Cond->epoch();
-      if (Far)
-        DeadlinePassed = time::nowNs() >= TW->deadlineNs();
       if (DeadlinePassed || Scope.cancelled()) {
         Satisfied = false;
         break;
@@ -470,15 +456,10 @@ bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
     }
     relaySignal(); // Maintain the invariance before blocking.
     uint64_t T0 = Timers.start();
-    if (TW) {
-      // Far waits pass the unbounded sentinel: no kernel timer; the
-      // fallback tick (or any relay/cancel wake) ends the block.
-      bool V = R->Cond->awaitUntil(
-          Far ? time::NeverNs : TW->deadlineNs(), Epoch);
-      DeadlinePassed = DeadlinePassed || V;
-    } else {
+    if (TW)
+      DeadlinePassed = R->Cond->awaitUntil(TW->DeadlineNs, Epoch);
+    else
       R->Cond->await();
-    }
     Timers.stop(PhaseTimers::Await, T0);
     if (R->PendingSignals > 0) {
       --R->PendingSignals;
@@ -486,19 +467,15 @@ bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
     }
   }
 
-  if (TW) {
-    if (Far)
-      time::FallbackTicker::global().remove(TW->FarN);
-    if (!Satisfied) {
-      if (Scope.cancelled())
-        ++Stats.Cancels;
-      else
-        ++Stats.Timeouts;
-      // Baton passing: our wakeup may have consumed a directed signal
-      // whose chain obligation we are abandoning; re-run the relay so a
-      // thread whose predicate became true is still signaled.
-      relaySignal();
-    }
+  if (TW && !Satisfied) {
+    if (Scope.cancelled())
+      ++Stats.Cancels;
+    else
+      ++Stats.Timeouts;
+    // Baton passing: our wakeup may have consumed a directed signal
+    // whose chain obligation we are abandoning; re-run the relay so a
+    // thread whose predicate became true is still signaled.
+    relaySignal();
   }
 
   --R->Waiters;

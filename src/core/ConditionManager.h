@@ -59,13 +59,12 @@
 ///
 /// Timed waits (the src/time/ deadline runtime): await and awaitBroadcast
 /// take an optional TimedWait carrying a monotonic deadline and an
-/// optional CancelToken. A blocked near-deadline waiter blocks with a
-/// *bounded* condvar wait: the wait's own deadline is its expiry tick, so
-/// expiry never depends on monitor traffic, and exit paths pay nothing
-/// for timed waiters (no clock read, no timer store). A far-deadline
-/// waiter blocks unbounded and parks in the process-wide fallback ticker
-/// (time/FallbackTicker.h), which wakes it at its deadline. Two
-/// invariants keep this sound against the relay and dirty-set machinery:
+/// optional CancelToken. A timed waiter, whatever its deadline, blocks
+/// with a *bounded* condvar wait (one absolute futex wait): the wait's own
+/// deadline is its expiry tick, so expiry never depends on monitor
+/// traffic or a helper thread, and exit paths pay nothing for timed
+/// waiters (no clock read, no timer store). Two invariants keep this
+/// sound against the relay and dirty-set machinery:
 ///
 ///  * Predicate-first: a waiter that observes its predicate true returns
 ///    true even if its deadline passed or its token fired concurrently —
@@ -94,7 +93,7 @@
 #include "sync/Mutex.h"
 #include "tag/TagIndex.h"
 #include "time/CancelToken.h"
-#include "time/FallbackTicker.h"
+#include "time/Deadline.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -159,22 +158,13 @@ struct DeferredWake {
 /// The per-monitor condition manager.
 class ConditionManager {
 public:
-  /// One in-flight timed (or cancellable) wait: a stack-allocated record
-  /// the blocking thread passes to await or awaitBroadcast. Deadline
-  /// semantics: DeadlineNs is absolute monotonic (time::nowNs domain);
-  /// time::NeverNs plus a token expresses a cancellation-only wait.
+  /// One in-flight timed (or cancellable) wait, passed to await or
+  /// awaitBroadcast: DeadlineNs is absolute monotonic (time::nowNs
+  /// domain), and time::NeverNs plus a token expresses a
+  /// cancellation-only wait.
   struct TimedWait {
-    TimedWait(uint64_t DeadlineNs, time::CancelToken *Token)
-        : DeadlineNs(DeadlineNs), Token(Token) {}
-
-    uint64_t DeadlineNs;
-    /// Far-deadline parking slot (time/FallbackTicker.h), used when the
-    /// deadline is beyond time::FarHorizonNs.
-    time::FarNode FarN;
+    uint64_t DeadlineNs = time::NeverNs;
     time::CancelToken *Token = nullptr;
-
-    uint64_t deadlineNs() const { return DeadlineNs; }
-    bool cancelled() const { return Token && Token->cancelled(); }
   };
 
   /// \p SharedEnv must resolve every Shared-scoped variable of \p Syms and
@@ -194,7 +184,9 @@ public:
   /// signature of a Ground plan (computed at plan build), a Slotted plan's
   /// resolved signature (WaitPlan::resolve status Resolved; \p PlanBind
   /// set, so the lookup counts as a bind hit or a cold bind), or nothing
-  /// (shapes without a plan key and key overflow).
+  /// (shapes without a plan key and key overflow). Sig may point into
+  /// the monitor's resolve scratch, so it is read only until the wait
+  /// first releases the lock.
   struct WaitKey {
     const SigEntry *Sig = nullptr;
     size_t N = 0;

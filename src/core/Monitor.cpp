@@ -131,8 +131,9 @@ bool Monitor::dispatchWait(const Env &Locals, ParseEntry *Entry,
   if (Edsl) {
     // Fast path: already true (Fig. 6 checks P first). The template
     // evaluates itself over the shared slots; only a wait that blocks
-    // looks up its plan. An unsatisfiable predicate is never true, so it
-    // always reaches the plan's check below.
+    // looks up its plan. An unsatisfiable predicate is never true, and a
+    // check whose arithmetic wrapped reads false, so both reach the
+    // plan's exact verdict below.
     if (Edsl->Holds(Edsl->Expr, Slots.data()))
       return true;
     // Slots come straight from the template's literals. A keyless wait,
@@ -164,24 +165,21 @@ bool Monitor::dispatchWait(const Env &Locals, ParseEntry *Entry,
       return true;
   }
 
-  // Declared only now: the already-true path pays nothing for the buffer.
-  SigEntry Sig[WaitPlan::MaxSigEntries];
   ConditionManager::WaitKey Key;
   if (K == WaitPlan::Kind::Ground) {
     Key.Sig = Plan->signature().data();
     Key.N = Plan->signature().size();
   } else if (K == WaitPlan::Kind::Slotted) {
-    switch (Plan->resolve(Slot, Sig, Key.N)) {
+    switch (Plan->resolve(Slot, PlanScratch, Key.N)) {
     case WaitPlan::ResolveStatus::Resolved:
-      Key.Sig = Sig;
+      Key.Sig = PlanScratch.Sig;
       Key.PlanBind = true;
       break;
     case WaitPlan::ResolveStatus::True:
       // True under any shared state. The parsed fast check ran this
-      // plan's canonical form, so only an EDSL wait gets here: its
-      // template evaluates with wrapping int64 arithmetic, which the
-      // canonical form does not model (`Count + 1 > Count` at INT64_MAX).
-      // The canonical verdict stands.
+      // plan's canonical form, so only an EDSL wait whose check wrapped
+      // gets here (`Count + 1 > Count` at INT64_MAX). The canonical
+      // verdict stands.
       AUTOSYNCH_CHECK(Edsl, "plan resolution diverged from evaluation");
       return true;
     case WaitPlan::ResolveStatus::False:
@@ -197,7 +195,7 @@ bool Monitor::dispatchWait(const Env &Locals, ParseEntry *Entry,
   // One bound set-up for every policy and key; the deadline is read only
   // now that the wait blocks. Broadcast re-evaluates, and a keyless wait
   // registers, the predicate tree itself.
-  ConditionManager::TimedWait TW(TS.timed() ? TS.deadlineNs() : 0, TS.Token);
+  ConditionManager::TimedWait TW{TS.timed() ? TS.deadlineNs() : 0, TS.Token};
   ConditionManager::TimedWait *TWP = TS.timed() ? &TW : nullptr;
   if (Cfg.Policy == SignalPolicy::Broadcast)
     return Mgr.awaitBroadcast(Concrete(), Locals, TWP);

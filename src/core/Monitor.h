@@ -416,7 +416,7 @@ private:
     }
 
     static bool holds(const void *P, const Value *Shared) {
-      return edsl::evaluate(*static_cast<const E *>(P), Shared).asBool();
+      return edsl::holds(*static_cast<const E *>(P), Shared);
     }
   };
 
@@ -456,6 +456,9 @@ private:
       ParseCache;
   std::atomic<std::thread::id> Owner{};
   int Depth = 0;
+  /// Where a blocking keyed wait resolves its signature (under the lock;
+  /// see ConditionManager::WaitKey).
+  WaitPlan::Scratch PlanScratch;
 };
 
 } // namespace autosynch

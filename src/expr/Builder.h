@@ -294,32 +294,42 @@ template <typename T> ExprRef buildConcrete(const T &X, ExprArena &A) {
 
 /// Raw value of \p X over the shared slots \p Shared (indexed by VarId),
 /// with expr/Eval.cpp's semantics: wrapping arithmetic, short-circuit
-/// connectives, and a fatal error on division by zero.
-template <typename T> int64_t evalRaw(const T &X, const Value *Shared) {
+/// connectives, and a fatal error on division by zero. Sets \p Wrapped
+/// when an evaluated `+`, `-`, `*` or unary `-` leaves int64.
+template <typename T>
+int64_t evalRaw(const T &X, const Value *Shared, bool &Wrapped) {
   if constexpr (IsLit<T>) {
     return static_cast<int64_t>(X);
   } else if constexpr (requires { X.Id; }) {
     return Shared[X.Id].raw();
   } else {
     constexpr ExprKind K = decltype(kindOf(X))::value;
-    auto U = [](int64_t V) { return static_cast<uint64_t>(V); };
-    if constexpr (K == ExprKind::Neg)
-      return static_cast<int64_t>(-U(evalRaw(X.Op, Shared)));
-    else if constexpr (K == ExprKind::Not)
-      return !evalRaw(X.Op, Shared);
-    else if constexpr (K == ExprKind::And)
-      return evalRaw(X.Lhs, Shared) && evalRaw(X.Rhs, Shared);
-    else if constexpr (K == ExprKind::Or)
-      return evalRaw(X.Lhs, Shared) || evalRaw(X.Rhs, Shared);
-    else {
-      int64_t A = evalRaw(X.Lhs, Shared), B = evalRaw(X.Rhs, Shared);
+    int64_t R = 0;
+    if constexpr (K == ExprKind::Neg) {
+      Wrapped |= __builtin_sub_overflow(int64_t{0},
+                                        evalRaw(X.Op, Shared, Wrapped), &R);
+      return R;
+    } else if constexpr (K == ExprKind::Not) {
+      return !evalRaw(X.Op, Shared, Wrapped);
+    } else if constexpr (K == ExprKind::And) {
+      return evalRaw(X.Lhs, Shared, Wrapped) &&
+             evalRaw(X.Rhs, Shared, Wrapped);
+    } else if constexpr (K == ExprKind::Or) {
+      return evalRaw(X.Lhs, Shared, Wrapped) ||
+             evalRaw(X.Rhs, Shared, Wrapped);
+    } else {
+      int64_t A = evalRaw(X.Lhs, Shared, Wrapped),
+              B = evalRaw(X.Rhs, Shared, Wrapped);
       switch (K) {
       case ExprKind::Add:
-        return static_cast<int64_t>(U(A) + U(B));
+        Wrapped |= __builtin_add_overflow(A, B, &R);
+        return R;
       case ExprKind::Sub:
-        return static_cast<int64_t>(U(A) - U(B));
+        Wrapped |= __builtin_sub_overflow(A, B, &R);
+        return R;
       case ExprKind::Mul:
-        return static_cast<int64_t>(U(A) * U(B));
+        Wrapped |= __builtin_mul_overflow(A, B, &R);
+        return R;
       case ExprKind::Div:
         AUTOSYNCH_CHECK(B != 0, "division by zero in predicate");
         AUTOSYNCH_CHECK(!(A == INT64_MIN && B == -1),
@@ -350,9 +360,20 @@ template <typename T> int64_t evalRaw(const T &X, const Value *Shared) {
 /// Evaluates \p X over \p Shared; counts as one predicate evaluation.
 template <typename T> Value evaluate(const T &X, const Value *Shared) {
   detail::bumpPredicateEvalCount();
-  int64_t V = evalRaw(X, Shared);
+  bool Wrapped = false;
+  int64_t V = evalRaw(X, Shared, Wrapped);
   return Traits<T>::Type == TypeKind::Bool ? Value::makeBool(V != 0)
                                            : Value::makeInt(V);
+}
+
+/// Whether \p X holds over \p Shared: a wait's already-true check. A
+/// check whose arithmetic wrapped is not trusted either way and reads
+/// false, so the wait's plan, which works over exact integers, decides.
+/// Counts as one predicate evaluation.
+template <typename T> bool holds(const T &X, const Value *Shared) {
+  detail::bumpPredicateEvalCount();
+  bool Wrapped = false;
+  return evalRaw(X, Shared, Wrapped) != 0 && !Wrapped;
 }
 
 //===----------------------------------------------------------------------===//

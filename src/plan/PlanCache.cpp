@@ -52,7 +52,7 @@ const WaitPlan *PlanCache::addSite(const SiteKey &K, ExprRef Skeleton,
                   "EDSL slot count diverged from the cached shape");
   if (Sites.size() <= K.Shape)
     Sites.resize(K.Shape + 1);
-  Sites[K.Shape].push_back(
-      {std::vector<int64_t>(K.Words, K.Words + K.N), Plan});
+  Sites[K.Shape].emplace(
+      hashWords(K), Site{std::vector<int64_t>(K.Words, K.Words + K.N), Plan});
   return Plan;
 }

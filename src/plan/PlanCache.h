@@ -19,7 +19,8 @@
 ///    variables or multipliers find different ones. A key's first use
 ///    builds its slotted skeleton (`count >= $i0`, slot variables "$i0",
 ///    "$b0", ... by occurrence) in the arena once and plans it like any
-///    shape; every later wait is an array index and a key compare.
+///    shape; every later wait is an array index, a hash of the key
+///    words, and a key compare.
 ///    Structural literals stay concrete because a slot there would make
 ///    the atom non-linear and untaggable, and because they are how
 ///    shapes like `X * 2 >= 96` still canonicalize onto the same record
@@ -112,12 +113,16 @@ public:
     size_t N = 0;
   };
 
-  /// The plan of a call site seen before, or null. No arena access.
+  /// The plan of a call site seen before, or null. No arena access; one
+  /// hash of the key words, whatever the number of the shape's sites.
   const WaitPlan *findSite(const SiteKey &K) const {
-    if (K.Shape < Sites.size())
-      for (const Site &S : Sites[K.Shape])
-        if (std::equal(S.Words.begin(), S.Words.end(), K.Words))
-          return S.Plan;
+    if (K.Shape >= Sites.size())
+      return nullptr;
+    auto [It, End] = Sites[K.Shape].equal_range(hashWords(K));
+    for (; It != End; ++It)
+      if (std::equal(It->second.Words.begin(), It->second.Words.end(),
+                     K.Words))
+        return It->second.Plan;
     return nullptr;
   }
 
@@ -129,7 +134,7 @@ public:
   /// Number of distinct EDSL call-site keys.
   size_t numSites() const {
     size_t N = 0;
-    for (const std::vector<Site> &S : Sites)
+    for (const SiteTable &S : Sites)
       N += S.size();
     return N;
   }
@@ -154,8 +159,21 @@ private:
     std::vector<int64_t> Words;
     const WaitPlan *Plan;
   };
+  /// One shape's call sites, keyed by hashWords of their key words.
+  using SiteTable = std::unordered_multimap<uint64_t, Site>;
+
+  /// FNV-1a over \p K's key words.
+  static uint64_t hashWords(const SiteKey &K) {
+    uint64_t H = 1469598103934665603ull;
+    for (size_t I = 0; I != K.N; ++I) {
+      H ^= static_cast<uint64_t>(K.Words[I]);
+      H *= 1099511628211ull;
+    }
+    return H;
+  }
+
   /// EDSL call sites, indexed by shape id.
-  std::vector<std::vector<Site>> Sites;
+  std::vector<SiteTable> Sites;
   PlanCacheStats Stats;
 };
 

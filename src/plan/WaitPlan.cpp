@@ -394,7 +394,7 @@ void WaitPlan::bindFromEnv(const Env &Locals, Value *Out) const {
   }
 }
 
-WaitPlan::ResolveStatus WaitPlan::resolve(const Value *Bound, SigEntry *Buf,
+WaitPlan::ResolveStatus WaitPlan::resolve(const Value *Bound, Scratch &S,
                                           size_t &N) const {
   AUTOSYNCH_CHECK(K == Kind::Slotted, "resolve() requires a slotted plan");
 
@@ -412,8 +412,8 @@ WaitPlan::ResolveStatus WaitPlan::resolve(const Value *Bound, SigEntry *Buf,
     return true;
   };
 
-  SigEntry Tmp[MaxSigEntries];
-  SigSegment Segs[MaxConjs];
+  SigEntry *Tmp = S.Tmp;
+  SigSegment *Segs = S.Segs;
   size_t NumSegs = 0;
   size_t Used = 0;
 
@@ -511,6 +511,6 @@ WaitPlan::ResolveStatus WaitPlan::resolve(const Value *Bound, SigEntry *Buf,
     return ResolveStatus::False;
   }
 
-  N = finishSignature(Tmp, Segs, NumSegs, Buf);
+  N = finishSignature(Tmp, Segs, NumSegs, S.Sig);
   return ResolveStatus::Resolved;
 }

@@ -128,10 +128,19 @@ public:
   /// slot order. Fatal error on an unbound or type-mismatched local.
   void bindFromEnv(const Env &Locals, Value *Out) const;
 
-  /// Resolves bound values into a signature. \p Buf must hold at least
-  /// MaxSigEntries entries; \p N receives the entry count (including the
-  /// per-conjunction separators).
-  ResolveStatus resolve(const Value *Bound, SigEntry *Buf, size_t &N) const;
+  /// resolve()'s working storage: the bound entries, their conjunction
+  /// segments, and the finished signature (Sig). About 5 KB, so a caller
+  /// keeps one and reuses it rather than zero-filling a fresh one on
+  /// every blocking wait.
+  struct Scratch {
+    SigEntry Tmp[MaxSigEntries];
+    SigSegment Segs[MaxConjs];
+    SigEntry Sig[MaxSigEntries];
+  };
+
+  /// Resolves bound values into a signature, written to \p S.Sig; \p N
+  /// receives the entry count (including the per-conjunction separators).
+  ResolveStatus resolve(const Value *Bound, Scratch &S, size_t &N) const;
 
 private:
   WaitPlan() = default;

@@ -112,10 +112,9 @@ public:
   /// bumps. Timed waits capture it (under the mutex) *before* their final
   /// state checks; awaitUntil then returns immediately if the epoch has
   /// moved, so a wake issued between the capture and the block — the
-  /// classic lost-notify window, which CancelToken::cancel and the
-  /// fallback ticker's lock-free expiry wakes would otherwise fall into —
-  /// is never lost. Relaxed read; requires the mutex for the ordering guarantee
-  /// above.
+  /// classic lost-notify window, which CancelToken::cancel's lock-free
+  /// wakes would otherwise fall into — is never lost. Relaxed read;
+  /// requires the mutex for the ordering guarantee above.
   uint64_t epoch() const { return Seq.load(std::memory_order_relaxed); }
 
   /// Atomically releases the mutex and blocks until the epoch advances

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -68,6 +69,20 @@ TEST_F(BuilderTest, ArithmeticOperators) {
   MapEnv Env;
   Env.bindInt(V.X, 10).bindInt(V.Y, 3);
   EXPECT_EQ(evalInt(tree(E), Env), 15);
+
+  // At the int64 edge, evaluation wraps like expr/Eval.cpp, but a wait's
+  // already-true check does not trust a wrapped result either way.
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  Slots[V.X] = Value::makeInt(Max);
+  EXPECT_TRUE(eval(x() + 1 <= x()).asBool());
+  EXPECT_FALSE(edsl::holds(x() + 1 <= x(), Slots.data()));
+  Slots[V.X] = Value::makeInt(Max - 2);
+  EXPECT_FALSE(eval(x() + 5 >= 0).asBool());
+  EXPECT_FALSE(edsl::holds(x() + 5 >= 0, Slots.data()));
+  EXPECT_TRUE(edsl::holds(x() + 2 >= 0, Slots.data()));
+  Slots[V.X] = Value::makeInt(std::numeric_limits<int64_t>::min());
+  EXPECT_FALSE(edsl::holds(-x() != 0, Slots.data()));
+  EXPECT_FALSE(edsl::holds(x() * 2 != 0 || x() - 1 != 0, Slots.data()));
 }
 
 TEST_F(BuilderTest, IntOnEitherSide) {

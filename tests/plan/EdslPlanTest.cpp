@@ -37,6 +37,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -160,6 +161,11 @@ public:
       *V = State[V->id()].asInt();
     for (Shared<bool> *V : {&F, &G})
       *V = State[V->id()].asBool();
+  }
+
+  void setX(int64_t V) {
+    Region R(*this);
+    X = V;
   }
 
   template <typename E> const WaitPlan *planOf(const E &P, Value *Bound) {
@@ -290,11 +296,11 @@ Verdict verdictOf(const WaitPlan &P, const Value *Bound) {
   if (V.K == WaitPlan::Kind::Ground) {
     V.Sig = P.signature();
   } else if (V.K == WaitPlan::Kind::Slotted) {
-    SigEntry Buf[WaitPlan::MaxSigEntries];
+    WaitPlan::Scratch Buf;
     size_t N = 0;
     V.S = P.resolve(Bound, Buf, N);
     if (V.S == WaitPlan::ResolveStatus::Resolved)
-      V.Sig.assign(Buf, Buf + N);
+      V.Sig.assign(Buf.Sig, Buf.Sig + N);
   }
   return V;
 }
@@ -438,6 +444,17 @@ TEST(EdslPlanTest, TemplateAndParsedPathsAgree) {
   EXPECT_GE(T.Resolved, T.Bindings / 4);
   EXPECT_GE(T.Keyless, 1);
   EXPECT_GE(T.Waits, T.Bindings);
+
+  // The int64 edge: an EDSL check whose arithmetic wraps reads neither
+  // true nor false, and the plan's exact verdict stands, as it does for
+  // the parsed twin.
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  M.setX(Max - 2);
+  EXPECT_TRUE(M.tryWait(M.X.expr() + 5 >= 0));
+  EXPECT_TRUE(M.tryWait("x + 5 >= 0", MapEnv()));
+  M.setX(Max);
+  EXPECT_DEATH(M.tryWait(M.X.expr() + 1 <= M.X.expr()), "unsatisfiable");
+  EXPECT_DEATH(M.tryWait("x + 1 <= x", MapEnv()), "unsatisfiable");
 }
 
 } // namespace

@@ -153,7 +153,7 @@ TEST_F(SignatureTest, RecordProgramMatchesGlobalizedPredicate) {
       MapEnv Locals = randomLocals(R);
       Value Bound[WaitPlan::MaxSlots];
       Plan->bindFromEnv(Locals, Bound);
-      SigEntry Buf[WaitPlan::MaxSigEntries];
+      WaitPlan::Scratch Buf;
       size_t N = 0;
       WaitPlan::ResolveStatus Status = Plan->resolve(Bound, Buf, N);
 
@@ -173,7 +173,7 @@ TEST_F(SignatureTest, RecordProgramMatchesGlobalizedPredicate) {
       ASSERT_FALSE(CP.D.isTrue() || CP.D.isFalse());
       ++Resolved;
 
-      std::vector<SigEntry> Sig(Buf, Buf + N);
+      std::vector<SigEntry> Sig(Buf.Sig, Buf.Sig + N);
       EXPECT_EQ(Sig, signatureOf(CP.D))
           << "a binding and its globalized predicate must share one key";
       std::vector<Tag> Tags;
@@ -211,12 +211,12 @@ TEST_F(SignatureTest, FinishingOrdersSubsumesAndDeduplicates) {
   Locals.bindInt(V.A, 4).bindInt(V.B, 4).bindBool(V.P, false);
   Value Bound[WaitPlan::MaxSlots];
   Plan->bindFromEnv(Locals, Bound);
-  SigEntry Buf[WaitPlan::MaxSigEntries];
+  WaitPlan::Scratch Buf;
   size_t N = 0;
   ASSERT_EQ(Plan->resolve(Bound, Buf, N), WaitPlan::ResolveStatus::Resolved);
   std::vector<SigEntry> Expected = {SigEntry::resolved(X, ExprKind::Ge, 4),
                                     SigEntry::separator()};
-  EXPECT_EQ(std::vector<SigEntry>(Buf, Buf + N), Expected);
+  EXPECT_EQ(std::vector<SigEntry>(Buf.Sig, Buf.Sig + N), Expected);
 }
 
 } // namespace

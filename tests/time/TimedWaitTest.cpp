@@ -20,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -333,6 +335,35 @@ TEST(TimedWaitTest, WheelWakeupsRetireExpiredWaitersUnderTraffic) {
     std::this_thread::sleep_for(1ms); // Each poll enters and exits.
   Timed.join();
   EXPECT_EQ(M.stats().Timeouts, 1u);
+}
+
+/// The calling process's thread count, from the `Threads:` line of
+/// /proc/self/status.
+int processThreads() {
+  std::ifstream Status("/proc/self/status");
+  std::string Line;
+  while (std::getline(Status, Line))
+    if (Line.rfind("Threads:", 0) == 0)
+      return std::stoi(Line.substr(8));
+  ADD_FAILURE() << "no Threads: line in /proc/self/status";
+  return -1;
+}
+
+TEST(TimedWaitTest, FarDeadlineWaitStartsNoThread) {
+  // A timed wait bounds its own block, however far its deadline: no
+  // helper thread wakes it. While one waiter blocks with a 60 s
+  // deadline, the process runs exactly one thread more than before.
+  TimedCell M;
+  // One thread start first: a runtime that adds a helper thread of its
+  // own on the first one (ThreadSanitizer does) has then done so.
+  std::thread([] {}).join();
+  int Before = processThreads();
+  std::thread Waiter([&] { EXPECT_TRUE(M.awaitAtLeastEdsl(1, 60s)); });
+  testutil::awaitWaiters(M, 1);
+  EXPECT_EQ(processThreads(), Before + 1);
+  M.add(1);
+  Waiter.join();
+  EXPECT_EQ(M.stats().Timeouts, 0u);
 }
 
 TEST(TimedWaitTest, BroadcastPolicyKeepsTimedSemantics) {
