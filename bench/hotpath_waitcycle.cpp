@@ -34,9 +34,10 @@
 // `arena_interns_per_op` every interning request, lookups included. The
 // plan-hit properties are asserted, not just reported, so the CI smoke
 // run enforces them: the steady-state cycle's plan binds hit and intern
-// nothing, every cycle and both fast-path sweeps allocate under 0.01
-// times per op (the slack absorbs the measured section's thread
-// start-up), a warm EDSL wait makes no interning request at all, and the
+// nothing under every policy, every cycle and both fast-path sweeps
+// allocate under 0.01 times per op (the slack absorbs the measured
+// section's thread start-up), a warm EDSL wait makes no interning request
+// at all, and the
 // globalize sweep interns under 0.01 nodes per op and, once its warm-up
 // has filled the inactive cache, allocates under 0.05 times per op in
 // runs of at least 1k ops (what is left is its two thread starts and the
@@ -299,12 +300,10 @@ Cell runCycle(Mechanism Mech, int64_t Handoffs, int Reps) {
       C.PlanColdBinds = S.PlanColdBinds;
     }
 
-    if (Cfg.Policy != SignalPolicy::Broadcast) {
-      AUTOSYNCH_CHECK(M.conditionManager().stats().PlanBindHits > 0,
-                      "steady-state cycle plan binds must hit");
-      AUTOSYNCH_CHECK(NodesDelta == 0,
-                      "plan-cache cycle hit path must not intern");
-    }
+    AUTOSYNCH_CHECK(M.conditionManager().stats().PlanBindHits > 0,
+                    "steady-state cycle plan binds must hit");
+    AUTOSYNCH_CHECK(NodesDelta == 0,
+                    "plan-cache cycle hit path must not intern");
   }
   AUTOSYNCH_CHECK(C.HeapAllocsPerOp < 0.01,
                   "steady-state cycle must not allocate");

@@ -294,10 +294,10 @@ void ConditionManager::relaySignal(DeferredWake *Defer) {
     flushRelayCounters();
 
   if (Cfg.Policy == SignalPolicy::Broadcast) {
-    // Baseline: wake everyone; each waiter re-evaluates its own predicate.
+    // Baseline: wake everyone; each waiter re-checks its own record.
     // Deliberately unfiltered — the baseline's behavior is a paper
     // comparison point and must stay bit-for-bit.
-    if (BroadcastWaiters > 0) {
+    if (TotalWaiters > 0) {
       if (Defer) {
         Defer->Cond = BroadcastCond.get();
         Defer->All = true;
@@ -367,99 +367,54 @@ static bool deadlinePassedOnEntry(const ConditionManager::TimedWait *TW) {
          time::nowNs() >= TW->DeadlineNs;
 }
 
-bool ConditionManager::awaitBroadcast(ExprRef Pred, const Env &Locals,
-                                      TimedWait *TW) {
-  OverlayEnv Combined(Locals, SharedEnv);
-  // signalAll on every exit wakes a broadcast waiter, and a timed one's
-  // bounded block is its own expiry tick. The token still needs the
-  // registration handshake for a wake that races the final flag check
-  // (see time/CancelToken.h).
-  time::CancelScope Scope(TW ? TW->Token : nullptr, BroadcastCond.get());
-  if (TW)
-    ++Stats.TimedWaits; // On entry, like waitOnRecord: a wait that dies
-                        // at its first deadline check still counts, so
-                        // Timeouts <= TimedWaits holds for every policy.
-  bool DeadlinePassed = deadlinePassedOnEntry(TW);
-  bool Waited = false;
-  // The caller saw the predicate false under the lock, so the loop checks
-  // it only after each wakeup.
-  while (true) {
-    if (TW) {
-      if (Scope.cancelled()) {
-        ++Stats.Cancels;
-        return false;
-      }
-      if (DeadlinePassed) {
-        ++Stats.Timeouts;
-        return false;
-      }
-    }
-    if (!Waited) {
-      Waited = true;
-      ++Stats.Waits;
-      // The classic pre-block relay: the region may have changed state
-      // before this wait, and the broadcast policy's only bookkeeping is
-      // "wake everyone". First iteration only — a woken waiter that
-      // re-evaluates false has nothing new to announce, and under
-      // epoch-counted (loss-free) timed waits a per-iteration signalAll
-      // would ping-pong blocked waiters forever.
-      relaySignal();
-    }
-    ++BroadcastWaiters;
-    ++TotalWaiters;
-    uint64_t T0 = Timers.start();
-    if (TW) {
-      // Epoch after every gen-bumping step above and cancel re-checked
-      // after the capture: a flag set later necessarily bumps the epoch
-      // later, so the bounded wait returns immediately (see
-      // sync/Mutex.h on the closed lost-notify window).
-      uint64_t Epoch = BroadcastCond->epoch();
-      if (!Scope.cancelled())
-        DeadlinePassed = BroadcastCond->awaitUntil(TW->DeadlineNs, Epoch);
-    } else {
-      BroadcastCond->await();
-    }
-    Timers.stop(PhaseTimers::Await, T0);
-    --BroadcastWaiters;
-    --TotalWaiters;
-    if (evalBool(Pred, Combined))
-      return true; // Predicate-first, even past the deadline.
-  }
-}
-
 bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
+  // Broadcast parks every waiter on the one condition each signalAll
+  // wakes; the relay policies park on the record's own.
+  bool Bcast = Cfg.Policy == SignalPolicy::Broadcast;
+  sync::Condition *Cond = Bcast ? BroadcastCond.get() : R->Cond.get();
   activate(R);
   ++R->Waiters;
-  ++TotalWaiters;
   ++Stats.Waits;
-  time::CancelScope Scope(TW ? TW->Token : nullptr, R->Cond.get());
+  time::CancelScope Scope(TW ? TW->Token : nullptr, Cond);
   if (TW)
     ++Stats.TimedWaits;
   bool DeadlinePassed = deadlinePassedOnEntry(TW);
 
   bool Satisfied;
+  bool Blocked = false;
   while (true) {
     if (recordTrue(R)) {
       Satisfied = true;
       break;
     }
-    uint64_t Epoch = 0;
-    if (TW) {
-      // Epoch before the flag checks: a cancel wake that lands after
-      // this line bumps it, and awaitUntil then returns immediately —
-      // the lost-notify window is closed (sync/Mutex.h).
-      Epoch = R->Cond->epoch();
-      if (DeadlinePassed || Scope.cancelled()) {
-        Satisfied = false;
-        break;
-      }
+    if (TW && (DeadlinePassed || Scope.cancelled())) {
+      Satisfied = false;
+      break;
     }
-    relaySignal(); // Maintain the invariance before blocking.
+    // Maintain the invariance before blocking. Broadcast relays before its
+    // first block only: a woken waiter that re-checks false has nothing
+    // new to announce, and a signalAll per wakeup would ping-pong the
+    // blocked waiters forever.
+    if (!Bcast || !Blocked)
+      relaySignal();
+    if (!Blocked) {
+      // Counted only after that relay, so Broadcast's first signalAll
+      // (which only fires when someone waits) excludes the waiter itself.
+      Blocked = true;
+      ++TotalWaiters;
+    }
     uint64_t T0 = Timers.start();
-    if (TW)
-      DeadlinePassed = R->Cond->awaitUntil(TW->DeadlineNs, Epoch);
-    else
-      R->Cond->await();
+    if (TW) {
+      // Epoch after the relay, whose signalAll bumps it under Broadcast,
+      // and the cancel flag re-checked after the capture: a cancel wake
+      // that lands later bumps the epoch later, so awaitUntil returns
+      // immediately (sync/Mutex.h on the closed lost-notify window).
+      uint64_t Epoch = Cond->epoch();
+      if (!Scope.cancelled())
+        DeadlinePassed = Cond->awaitUntil(TW->DeadlineNs, Epoch);
+    } else {
+      Cond->await();
+    }
     Timers.stop(PhaseTimers::Await, T0);
     if (R->PendingSignals > 0) {
       --R->PendingSignals;
@@ -474,12 +429,15 @@ bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
       ++Stats.Timeouts;
     // Baton passing: our wakeup may have consumed a directed signal
     // whose chain obligation we are abandoning; re-run the relay so a
-    // thread whose predicate became true is still signaled.
-    relaySignal();
+    // thread whose predicate became true is still signaled. Broadcast
+    // sends no directed signals, so it has no baton to pass.
+    if (!Bcast)
+      relaySignal();
   }
 
   --R->Waiters;
-  --TotalWaiters;
+  if (Blocked)
+    --TotalWaiters;
   if (R->Waiters == 0)
     deactivate(R);
   return Satisfied;
@@ -487,8 +445,6 @@ bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
 
 bool ConditionManager::await(ExprRef Pred, const Env &Locals,
                              const WaitKey &Key, TimedWait *TW) {
-  AUTOSYNCH_CHECK(Cfg.Policy != SignalPolicy::Broadcast,
-                  "Broadcast waits go through awaitBroadcast");
   const SigEntry *Sig = Key.Sig;
   size_t N = Key.N;
   std::vector<SigEntry> Keyless;

@@ -57,21 +57,29 @@
 /// (the Monitor wrapper enforces this); the dirty set, version counters,
 /// and stamps are all guarded by that lock.
 ///
-/// Timed waits (the src/time/ deadline runtime): await and awaitBroadcast
-/// take an optional TimedWait carrying a monotonic deadline and an
-/// optional CancelToken. A timed waiter, whatever its deadline, blocks
-/// with a *bounded* condvar wait (one absolute futex wait): the wait's own
-/// deadline is its expiry tick, so expiry never depends on monitor
-/// traffic or a helper thread, and exit paths pay nothing for timed
-/// waiters (no clock read, no timer store). Two invariants keep this
-/// sound against the relay and dirty-set machinery:
+/// One wait path for every policy: await() binds (or registers) a record
+/// and blocks in waitOnRecord(), which re-checks the record's compiled
+/// canonical form after every wakeup. The Broadcast baseline differs only
+/// in how a wait is signalled: every waiter blocks on one condition, each
+/// relay is a signalAll, a waiter relays only before its first block, and
+/// a waiter that leaves on timeout passes no baton.
+///
+/// Timed waits (the src/time/ deadline runtime): await takes an optional
+/// TimedWait carrying a monotonic deadline and an optional CancelToken.
+/// A timed waiter, whatever its deadline, blocks with a *bounded* condvar
+/// wait (one absolute futex wait): the wait's own deadline is its expiry
+/// tick, so expiry never depends on monitor traffic or a helper thread,
+/// and exit paths pay nothing for timed waiters (no clock read, no timer
+/// store). Two invariants keep this sound against the relay and dirty-set
+/// machinery:
 ///
 ///  * Predicate-first: a waiter that observes its predicate true returns
 ///    true even if its deadline passed or its token fired concurrently —
 ///    a consumed directed signal is thereby *accepted*, never stolen.
-///  * Baton passing: a timed waiter that leaves unsatisfied re-runs the
-///    relay before returning, because its wakeup may have consumed (or
-///    pre-empted) a directed signal another thread now deserves.
+///  * Baton passing (relay policies): a timed waiter that leaves
+///    unsatisfied re-runs the relay before returning, because its wakeup
+///    may have consumed (or pre-empted) a directed signal another thread
+///    now deserves.
 ///
 /// The relay does not know about deadlines: it may signal a waiter whose
 /// deadline has just passed. That waiter checks its predicate first, so
@@ -158,10 +166,9 @@ struct DeferredWake {
 /// The per-monitor condition manager.
 class ConditionManager {
 public:
-  /// One in-flight timed (or cancellable) wait, passed to await or
-  /// awaitBroadcast: DeadlineNs is absolute monotonic (time::nowNs
-  /// domain), and time::NeverNs plus a token expresses a
-  /// cancellation-only wait.
+  /// One in-flight timed (or cancellable) wait, passed to await:
+  /// DeadlineNs is absolute monotonic (time::nowNs domain), and
+  /// time::NeverNs plus a token expresses a cancellation-only wait.
   struct TimedWait {
     uint64_t DeadlineNs = time::NeverNs;
     time::CancelToken *Token = nullptr;
@@ -194,8 +201,8 @@ public:
   };
 
   /// Blocks the calling thread until \p Pred (which may mention local
-  /// variables bound in \p Locals) holds; the Tagged/LinearScan wait of
-  /// the paper's Fig. 6. The caller has already checked that \p Pred is
+  /// variables bound in \p Locals) holds; the wait of the paper's Fig. 6,
+  /// under every policy. The caller has already checked that \p Pred is
   /// false right now. A \p Key that hits the table goes straight to the
   /// record — zero interning, zero allocation — and a key that misses
   /// registers its record straight from the signature's entries. Without
@@ -216,13 +223,6 @@ public:
   bool await(ExprRef Pred, const Env &Locals, const WaitKey &Key,
              TimedWait *TW = nullptr);
 
-  /// The Broadcast policy's wait: no registration; relay once before the
-  /// first block, then re-evaluate \p Pred after every signalAll. The
-  /// caller has already checked that \p Pred is false right now. Lock and
-  /// TimedWait semantics as await().
-  bool awaitBroadcast(ExprRef Pred, const Env &Locals,
-                      TimedWait *TW = nullptr);
-
   /// The relay signaling rule; called on monitor exit and before blocking.
   /// With \p Defer null the winning record is signaled immediately (the
   /// pre-block relay, where the caller is about to release the lock by
@@ -238,11 +238,9 @@ public:
 
   /// Records that shared variable \p Id changed value: unions it into the
   /// relay dirty set and bumps its version counter. Called by
-  /// Monitor::writeSlot under the monitor lock; a no-op under the
-  /// Broadcast policy.
+  /// Monitor::writeSlot under the monitor lock. Every policy keeps the
+  /// versions: they date the records' false-stamps.
   void noteWrite(VarId Id) {
-    if (Cfg.Policy == SignalPolicy::Broadcast)
-      return;
     ++GlobalVersion;
     if (Id >= SlotVersions.size())
       SlotVersions.resize(Id + 1, 0);
@@ -340,8 +338,8 @@ private:
   void deactivate(Record *R);
   void evictIfNeeded();
 
-  /// The shared blocking loop: activate, relay-and-wait until the record's
-  /// predicate holds (or, with \p TW, the deadline/token fires),
+  /// The blocking loop of every policy: activate, relay-and-wait until the
+  /// record's predicate holds (or, with \p TW, the deadline/token fires),
   /// deactivate when the last waiter leaves. Returns false only for a
   /// timed wait that left unsatisfied.
   bool waitOnRecord(Record *R, TimedWait *TW);
@@ -402,10 +400,10 @@ private:
   /// (Record::InQueue); revived records are skipped lazily on eviction.
   std::deque<Record *> InactiveQueue;
 
-  /// Broadcast policy state.
+  /// The one condition every Broadcast waiter blocks on.
   std::unique_ptr<sync::Condition> BroadcastCond;
-  int BroadcastWaiters = 0;
 
+  /// Threads blocked in waitOnRecord, counted from their first block.
   int TotalWaiters = 0;
   int PendingTotal = 0;
   uint64_t UseTick = 0;

@@ -114,8 +114,6 @@ const WaitPlan *Monitor::sitePlan(const EdslWait &W) {
 
 bool Monitor::dispatchWait(const Env &Locals, ParseEntry *Entry,
                            const EdslWait *Edsl, const TimedSpec &TS) {
-  // Checked before any policy's wait: Broadcast registers nothing, so it
-  // would otherwise block forever.
   constexpr const char *Unsat =
       "waituntil on an unsatisfiable predicate would never return";
   ExprRef Pred = Entry ? Entry->Expr : nullptr;
@@ -192,13 +190,10 @@ bool Monitor::dispatchWait(const Env &Locals, ParseEntry *Entry,
     }
   }
 
-  // One bound set-up for every policy and key; the deadline is read only
-  // now that the wait blocks. Broadcast re-evaluates, and a keyless wait
-  // registers, the predicate tree itself.
+  // One wait for every policy and key; the deadline is read only now that
+  // the wait blocks. A keyless wait registers the predicate tree itself.
   ConditionManager::TimedWait TW{TS.timed() ? TS.deadlineNs() : 0, TS.Token};
   ConditionManager::TimedWait *TWP = TS.timed() ? &TW : nullptr;
-  if (Cfg.Policy == SignalPolicy::Broadcast)
-    return Mgr.awaitBroadcast(Concrete(), Locals, TWP);
   return Mgr.await(Key.Sig ? Pred : Concrete(), Locals, Key, TWP);
 }
 

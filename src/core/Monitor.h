@@ -43,9 +43,9 @@
 ///    is the predicate's shape, so a wait that blocks finds its plan by
 ///    shape id and key (PlanCache) and fills the plan's slots straight
 ///    from the literals: the arena sees a shape once per key, and a warm
-///    wait neither interns nor allocates. Only blocking waits that carry
-///    no plan key (shapes the planner cannot parameterize, more literals
-///    than a plan has slots, key overflow) and Broadcast's blocking waits
+///    wait neither interns nor allocates, under every signal policy. Only
+///    blocking waits that carry no plan key (shapes the planner cannot
+///    parameterize, more literals than a plan has slots, key overflow)
 ///    build the concrete tree;
 ///  * parsed strings: locals stay symbolic, are parsed once (cached), and
 ///    are globalized per call from the provided bindings — the path the

@@ -14,8 +14,8 @@
 ///  * LinearScan — "AutoSynch-T": relay signaling, tags disabled; the relay
 ///                 scan evaluates active predicates one by one.
 ///  * Broadcast  — "Baseline": one condition variable, signalAll on every
-///                 exit/block; each woken thread re-evaluates its own
-///                 predicate.
+///                 exit and before a waiter's first block; each woken
+///                 thread re-checks its own registered predicate.
 ///
 /// The explicit-signal mechanism has no automatic monitor; its problem
 /// implementations are hand-written in src/problems/ like the paper's Java.

@@ -112,8 +112,8 @@ private:
 };
 
 /// Overlays two environments: looks in First, then in Second. Used by the
-/// Broadcast (baseline) policy where a waiter evaluates its own complex
-/// predicate over shared + local bindings.
+/// already-true check of a parsed wait whose shape has no plan key, which
+/// evaluates its complex predicate over local + shared bindings.
 class OverlayEnv final : public Env {
 public:
   OverlayEnv(const Env &First, const Env &Second)

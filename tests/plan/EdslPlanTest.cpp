@@ -152,6 +152,8 @@ constexpr size_t NumShapes = 48;
 
 class Probe : public Monitor {
 public:
+  explicit Probe(MonitorConfig Cfg = {}) : Monitor(Cfg) {}
+
   Shared<int64_t> X{*this, "x", 0}, Y{*this, "y", 0}, Z{*this, "z", 0};
   Shared<bool> F{*this, "f", false}, G{*this, "g", false};
 
@@ -173,14 +175,17 @@ public:
     return edslPlan(P, Bound);
   }
 
-  template <typename E> bool tryWait(const E &P) {
+  template <typename E>
+  bool tryWait(const E &P,
+               std::chrono::nanoseconds Timeout = std::chrono::nanoseconds(0)) {
     Region R(*this);
-    return waitUntilFor(P, std::chrono::nanoseconds(0));
+    return waitUntilFor(P, Timeout);
   }
 
-  bool tryWait(const std::string &Pred, const MapEnv &Locals) {
+  bool tryWait(const std::string &Pred, const MapEnv &Locals,
+               std::chrono::nanoseconds Timeout = std::chrono::nanoseconds(0)) {
     Region R(*this);
-    return waitUntilFor(Pred, Locals, std::chrono::nanoseconds(0));
+    return waitUntilFor(Pred, Locals, Timeout);
   }
 
   VarId declareLocal(const std::string &Name, TypeKind Ty) {
@@ -445,13 +450,25 @@ TEST(EdslPlanTest, TemplateAndParsedPathsAgree) {
   EXPECT_GE(T.Keyless, 1);
   EXPECT_GE(T.Waits, T.Bindings);
 
-  // The int64 edge: an EDSL check whose arithmetic wraps reads neither
-  // true nor false, and the plan's exact verdict stands, as it does for
-  // the parsed twin.
+  // The int64 edge, under every policy: an EDSL check whose arithmetic
+  // wraps reads neither true nor false, and the plan's exact verdict
+  // stands, as it does for the parsed twins. A wait that blocks re-checks
+  // its record's exact canonical form, so none may time out.
   constexpr int64_t Max = std::numeric_limits<int64_t>::max();
-  M.setX(Max - 2);
-  EXPECT_TRUE(M.tryWait(M.X.expr() + 5 >= 0));
-  EXPECT_TRUE(M.tryWait("x + 5 >= 0", MapEnv()));
+  constexpr std::chrono::milliseconds Bound(50);
+  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan,
+                         SignalPolicy::Broadcast}) {
+    SCOPED_TRACE(signalPolicyName(P));
+    MonitorConfig Cfg;
+    Cfg.Policy = P;
+    Probe E(Cfg);
+    MapEnv Five;
+    Five.bindInt(E.declareLocal("n", TypeKind::Int), 5);
+    E.setX(Max - 2);
+    EXPECT_TRUE(E.tryWait(E.X.expr() + 5 >= 0, Bound));
+    EXPECT_TRUE(E.tryWait("x + 5 >= 0", MapEnv(), Bound));
+    EXPECT_TRUE(E.tryWait("x + n >= 0", Five, Bound));
+  }
   M.setX(Max);
   EXPECT_DEATH(M.tryWait(M.X.expr() + 1 <= M.X.expr()), "unsatisfiable");
   EXPECT_DEATH(M.tryWait("x + 1 <= x", MapEnv()), "unsatisfiable");

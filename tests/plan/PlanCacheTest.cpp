@@ -12,9 +12,10 @@
 // register without touching the arena, unification with records
 // registered through other routes, the tag a cold bind's record carries,
 // the interaction with the inactive cache's eviction limit, waits that
-// register without a plan key (Legacy shapes and key overflow), fatal
-// unsatisfiable bindings under every policy, and a differential run
-// against the Broadcast policy, which registers nothing.
+// register without a plan key (Legacy shapes and key overflow) under
+// every policy, fatal unsatisfiable bindings under every policy, and a
+// differential run against the Broadcast policy, whose blocking waits bind
+// records the same way but are woken by signalAll.
 //
 //===----------------------------------------------------------------------===//
 
@@ -319,25 +320,42 @@ TEST(PlanCacheTest, ColdBindsLeaveTheArenaAlone) {
   // Never-repeating bound values: every blocking wait is a cold bind that
   // registers a new predicate. The record is built straight from the
   // resolved signature, so once the shape is warm no wait interns a node,
-  // and evicted records are recycled for the next registration.
-  MonitorConfig Cfg;
-  Cfg.InactiveCacheLimit = 4;
-  PoolMonitor M(Cfg);
-  blockedWithdraw(M, 1000, [&](int64_t V) { M.withdrawParsed(V); });
-  size_t NodesWarm = M.arena().numNodes();
-  M.conditionManager().resetStats();
+  // and evicted records are recycled for the next registration. Parsed
+  // waits under Tagged, and EDSL waits under Broadcast, which bind their
+  // records the same way.
+  struct Input {
+    SignalPolicy Policy;
+    bool Edsl;
+  };
+  for (Input In : {Input{SignalPolicy::Tagged, false},
+                   Input{SignalPolicy::Broadcast, true}}) {
+    SCOPED_TRACE(signalPolicyName(In.Policy));
+    MonitorConfig Cfg;
+    Cfg.Policy = In.Policy;
+    Cfg.InactiveCacheLimit = 4;
+    PoolMonitor M(Cfg);
+    auto Withdraw = [&](int64_t V) {
+      if (In.Edsl)
+        M.withdrawEdsl(V);
+      else
+        M.withdrawParsed(V);
+    };
+    blockedWithdraw(M, 1000, Withdraw);
+    size_t NodesWarm = M.arena().numNodes();
+    M.conditionManager().resetStats();
 
-  for (int64_t N = 1; N <= 200; ++N)
-    blockedWithdraw(M, N, [&](int64_t V) { M.withdrawParsed(V); });
+    for (int64_t N = 1; N <= 200; ++N)
+      blockedWithdraw(M, N, Withdraw);
 
-  EXPECT_EQ(M.arena().numNodes(), NodesWarm);
-  const ManagerStats &S = M.conditionManager().stats();
-  EXPECT_EQ(S.Registrations, 200u);
-  EXPECT_EQ(S.PlanColdBinds, 200u);
-  EXPECT_EQ(S.PlanBindHits, 0u);
-  EXPECT_GE(S.Evictions, 196u);
-  EXPECT_LE(M.conditionManager().numRegistered(), 5u);
-  EXPECT_EQ(M.level(), 0);
+    EXPECT_EQ(M.arena().numNodes(), NodesWarm);
+    const ManagerStats &S = M.conditionManager().stats();
+    EXPECT_EQ(S.Registrations, 200u);
+    EXPECT_EQ(S.PlanColdBinds, 200u);
+    EXPECT_EQ(S.PlanBindHits, 0u);
+    EXPECT_GE(S.Evictions, 196u);
+    EXPECT_LE(M.conditionManager().numRegistered(), 5u);
+    EXPECT_EQ(M.level(), 0);
+  }
 }
 
 TEST(PlanCacheTest, KeylessBoundAndEagerRoutesShareOneRecord) {
@@ -547,10 +565,22 @@ TEST(PlanCacheTest, EdslWaitTrueForEveryStateReturnsWhenTheTemplateWraps) {
   }
 }
 
+/// The one wake a single blocked waiter gets from its relay: a directed
+/// signal under the relay policies, a signalAll under Broadcast.
+void expectOneRelayWake(SignalPolicy P, const ManagerStats &S) {
+  if (P == SignalPolicy::Broadcast) {
+    EXPECT_GE(S.BroadcastSignals, 1u);
+    EXPECT_EQ(S.SignalsSent, 0u);
+  } else {
+    EXPECT_EQ(S.SignalsSent, 1u);
+  }
+}
+
 TEST(PlanCacheTest, LegacyShapeRegistersThroughTheUncachedPipeline) {
   // `count * n` mixes a shared and a local variable in a non-linear atom:
   // the planner hands the shape back as Legacy, so the wait globalizes,
-  // canonicalizes and registers on every call, and is woken by a relay.
+  // canonicalizes and registers on every call, and is woken by a relay:
+  // a directed signal, or under Broadcast a signalAll.
   class Scaled : public Monitor {
   public:
     explicit Scaled(MonitorConfig Cfg) : Monitor(Cfg) {}
@@ -571,7 +601,8 @@ TEST(PlanCacheTest, LegacyShapeRegistersThroughTheUncachedPipeline) {
     Shared<int64_t> Cap{*this, "cap", 10};
   };
 
-  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan}) {
+  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan,
+                         SignalPolicy::Broadcast}) {
     SCOPED_TRACE(signalPolicyName(P));
     MonitorConfig Cfg;
     Cfg.Policy = P;
@@ -588,7 +619,7 @@ TEST(PlanCacheTest, LegacyShapeRegistersThroughTheUncachedPipeline) {
     const ManagerStats &S = M.conditionManager().stats();
     EXPECT_EQ(S.Registrations, 1u);
     EXPECT_EQ(S.PlanColdBinds + S.PlanBindHits, 0u);
-    EXPECT_EQ(S.SignalsSent, 1u);
+    expectOneRelayWake(P, S);
     EXPECT_EQ(M.conditionManager().numWaiters(), 0);
     EXPECT_EQ(M.conditionManager().pendingSignals(), 0);
   }
@@ -598,7 +629,8 @@ TEST(PlanCacheTest, KeyOverflowRegistersWithoutAKey) {
   // `flag || count - n >= m` is a Slotted shape whose key is n + m. With
   // n = m = 2^62 the key leaves int64 (WaitPlan::ResolveStatus::Overflow)
   // while evaluation does not wrap, so the wait blocks and registers
-  // without a key, and the write to `flag` wakes it with one relay.
+  // without a key, and the write to `flag` wakes it with one relay: a
+  // directed signal, or under Broadcast a signalAll.
   class Wide : public Monitor {
   public:
     explicit Wide(MonitorConfig Cfg) : Monitor(Cfg) {}
@@ -620,7 +652,8 @@ TEST(PlanCacheTest, KeyOverflowRegistersWithoutAKey) {
   };
 
   constexpr int64_t Big = int64_t{1} << 62;
-  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan}) {
+  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan,
+                         SignalPolicy::Broadcast}) {
     SCOPED_TRACE(signalPolicyName(P));
     MonitorConfig Cfg;
     Cfg.Policy = P;
@@ -636,17 +669,17 @@ TEST(PlanCacheTest, KeyOverflowRegistersWithoutAKey) {
     const ManagerStats &S = M.conditionManager().stats();
     EXPECT_EQ(S.PlanColdBinds + S.PlanBindHits, 0u);
     EXPECT_EQ(S.Registrations, 1u);
-    EXPECT_EQ(S.SignalsSent, 1u);
+    expectOneRelayWake(P, S);
     EXPECT_EQ(M.conditionManager().numWaiters(), 0);
     EXPECT_EQ(M.conditionManager().pendingSignals(), 0);
   }
 }
 
 TEST(PlanCacheTest, DifferentialAgainstUncachedPipeline) {
-  // The same seeded workload, planned (Tagged) and unregistered
-  // (Broadcast, whose blocking waits re-evaluate the predicate tree after
-  // every signalAll): identical conservation result and a full drain
-  // under both policies and both front ends.
+  // The same seeded workload, woken by directed relay signals (Tagged) and
+  // by a signalAll on every exit (Broadcast, whose blocking waits re-check
+  // their records after every wakeup): identical conservation result and
+  // a full drain under both policies and both front ends.
   AUTOSYNCH_SEEDED_RNG(Rng, 0x91a2c3ull);
   std::vector<int64_t> Demands;
   for (int I = 0; I != 200; ++I)
@@ -679,10 +712,10 @@ TEST(PlanCacheTest, DifferentialAgainstUncachedPipeline) {
 }
 
 TEST(PlanCacheTest, BroadcastAlreadyTrueWaitsUseThePlanPrecheck) {
-  // The Broadcast policy registers no predicates, but its already-true
-  // waits run the plan's allocation-free compiled check: after the shape
-  // is warm, fresh bound values must not grow the arena (globalizing
-  // would intern a tree per value).
+  // Broadcast's already-true waits run the plan's allocation-free
+  // compiled check, as the relay policies' do: after the shape is warm,
+  // fresh bound values must not grow the arena (globalizing would intern
+  // a tree per value), and nothing registers.
   MonitorConfig Cfg;
   Cfg.Policy = SignalPolicy::Broadcast;
   PoolMonitor M(Cfg);
@@ -702,8 +735,8 @@ TEST(PlanCacheTest, BroadcastAlreadyTrueWaitsUseThePlanPrecheck) {
 }
 
 TEST(PlanCacheTest, BroadcastBlockingWaitsKeepSignalAllSemantics) {
-  // The precheck must not change how Broadcast blocks or wakes: a
-  // blocking wait registers nothing and resumes via signalAll.
+  // The precheck must not change how Broadcast wakes: a blocking wait
+  // binds its record like a relay wait, and resumes via signalAll.
   MonitorConfig Cfg;
   Cfg.Policy = SignalPolicy::Broadcast;
   PoolMonitor M(Cfg);
@@ -711,7 +744,7 @@ TEST(PlanCacheTest, BroadcastBlockingWaitsKeepSignalAllSemantics) {
   EXPECT_EQ(M.level(), 0);
   EXPECT_GE(M.conditionManager().stats().BroadcastSignals, 1u);
   EXPECT_EQ(M.conditionManager().stats().SignalsSent, 0u);
-  EXPECT_EQ(M.conditionManager().stats().Registrations, 0u);
+  EXPECT_EQ(M.conditionManager().stats().Registrations, 1u);
   EXPECT_EQ(M.conditionManager().numWaiters(), 0);
 }
 

@@ -271,17 +271,19 @@ TEST(TimedWaitTest, ExpiredWaiterDoesNotStrandSiblings) {
   // record. The timed one expires on its own bounded block while exit
   // traffic runs; the long one must still be woken when the predicate
   // turns true — a waiter leaving on timeout must never take the record
-  // down under a live sibling. The combinations are independent (one
-  // monitor each), so they run side by side and share one 3s deadline.
+  // down under a live sibling. The long waiter parks first, so the timed
+  // one joins a live record and its 100ms bound need not cover a slow
+  // start. The combinations are independent (one monitor each), so they
+  // run side by side.
   std::vector<std::thread> Cells;
   for (SignalPolicy P : AllPolicies) {
     Cells.emplace_back([P] {
       SCOPED_TRACE(signalPolicyName(P));
       TimedCell M(configOf(P));
-      std::thread Timed(
-          [&] { EXPECT_FALSE(M.awaitAtLeastParsed(9, 3s)); });
       std::thread Long([&] { EXPECT_TRUE(M.awaitAtLeastParsed(9, 60s)); });
-      testutil::awaitWaiters(M, 2); // Both park well inside the 3s bound.
+      testutil::awaitWaiters(M, 1);
+      std::thread Timed(
+          [&] { EXPECT_FALSE(M.awaitAtLeastParsed(9, 100ms)); });
       // Exit-path traffic (no state change) until the timed waiter has
       // provably expired and left; the record must stay live for the
       // sibling throughout.

@@ -62,8 +62,8 @@ int usage(const char *Argv0, int Code) {
       "                         retried, so token conservation holds\n"
       "  --json=PATH            output file (default: BENCH_workload.json;\n"
       "                         '-' for pure JSON on stdout, '' to skip)\n"
-      "  --assert-plan-cache    fail unless every automatic (relay-policy)\n"
-      "                         run served waits from the plan cache\n"
+      "  --assert-plan-cache    fail unless every automatic run served\n"
+      "                         waits from the plan cache\n"
       "  --assert-relay-skips   fail unless every relay-policy run\n"
       "                         exercised the dirty-set machinery\n"
       "                         (skipped relays, filtered entries, or\n"
@@ -317,12 +317,12 @@ int main(int Argc, char **Argv) {
     Summary.print();
 
   if (AssertPlanCache) {
-    // Every relay-policy (automatic, non-broadcast) run must have served
-    // its waituntil calls through the plan cache: no keyless waits, and
-    // the cache actually consulted. Broadcast and Explicit
-    // runs have no plan path by design.
+    // Every automatic run (any signal policy) must have served its
+    // waituntil calls through the plan cache: no keyless waits, and the
+    // cache actually consulted. Explicit runs have no plan path by
+    // design.
     for (const ScenarioReport &R : Reports) {
-      if (R.Mech != Mechanism::AutoSynch && R.Mech != Mechanism::AutoSynchT)
+      if (!isAutomatic(R.Mech))
         continue;
       uint64_t Consulted = R.Plan.ShapeBuilds + R.Plan.ShapeHits +
                            R.Plan.BindHits + R.Plan.ColdBinds;
