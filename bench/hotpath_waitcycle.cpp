@@ -45,8 +45,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "FigureBench.h"
+#include "bench_support/BenchOptions.h"
+#include "bench_support/Table.h"
 #include "core/Monitor.h"
+#include "problems/Mechanism.h"
 
 #include <atomic>
 #include <chrono>

@@ -22,7 +22,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "FigureBench.h"
+#include "bench_support/BenchOptions.h"
+#include "bench_support/Table.h"
 #include "core/Monitor.h"
 #include "problems/BoundedBuffer.h"
 #include "support/Rng.h"

@@ -8,6 +8,7 @@
 #include "bench_support/BenchOptions.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -48,4 +49,11 @@ BenchOptions BenchOptions::fromEnv() {
 int64_t BenchOptions::scaled(int64_t BaseOps) const {
   int64_t V = static_cast<int64_t>(static_cast<double>(BaseOps) * OpsScale);
   return std::max<int64_t>(1, V);
+}
+
+void autosynch::bench::banner(const char *Experiment, const char *Description,
+                              const BenchOptions &Opts) {
+  std::printf("# %s\n# %s\n# reps=%d scale=%.2f (override with "
+              "AUTOSYNCH_BENCH_THREADS / _REPS / _SCALE)\n",
+              Experiment, Description, Opts.Reps, Opts.OpsScale);
 }

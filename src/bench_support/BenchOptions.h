@@ -42,6 +42,11 @@ struct BenchOptions {
   int64_t scaled(int64_t BaseOps) const;
 };
 
+/// Prints the standard bench banner: \p Experiment, \p Description, and
+/// the repetitions and scale in force.
+void banner(const char *Experiment, const char *Description,
+            const BenchOptions &Opts);
+
 } // namespace autosynch::bench
 
 #endif // AUTOSYNCH_BENCH_SUPPORT_BENCHOPTIONS_H

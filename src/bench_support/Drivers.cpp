@@ -21,11 +21,7 @@
 using namespace autosynch;
 using namespace autosynch::bench;
 
-namespace {
-
-/// Runs every work item on its own thread, released together; measures the
-/// span from release to the last completion, plus counter deltas.
-RunMetrics measure(std::vector<std::function<void()>> Work) {
+RunMetrics bench::measure(std::vector<std::function<void()>> Work) {
   std::barrier Start(static_cast<ptrdiff_t>(Work.size() + 1));
   std::vector<std::thread> Pool;
   Pool.reserve(Work.size());
@@ -49,6 +45,8 @@ RunMetrics measure(std::vector<std::function<void()>> Work) {
   M.Sync = sync::Counters::global().snapshot() - Sync0;
   return M;
 }
+
+namespace {
 
 /// Splits \p Total into \p Parts near-equal shares.
 std::vector<int64_t> split(int64_t Total, int Parts) {

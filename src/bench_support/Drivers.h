@@ -12,11 +12,9 @@
 /// threads behind a barrier, times the whole run, and returns wall time
 /// plus OS and sync-layer event deltas.
 ///
-/// One deliberate deviation, documented in EXPERIMENTS.md: the per-cell
-/// *total* operation count is fixed and divided among the threads, so a
-/// sweep point's runtime reflects per-operation cost under that level of
-/// contention (the paper fixes per-thread work instead; shapes are
-/// equivalent, absolute seconds are not).
+/// One deliberate deviation from the paper: the per-cell *total* operation
+/// count is fixed and divided among the threads (see the README's
+/// "Benchmarks" section).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +36,8 @@
 #include "sync/Counters.h"
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 namespace autosynch::bench {
 
@@ -49,6 +49,10 @@ struct RunMetrics {
   /// Sync-layer event deltas (awaits, signals, signalAlls, wakeups).
   sync::CountersSnapshot Sync;
 };
+
+/// Runs every work item on its own thread, released together; measures the
+/// span from release to the last completion, plus counter deltas.
+RunMetrics measure(std::vector<std::function<void()>> Work);
 
 /// Fig. 8: \p Producers producers and \p Consumers consumers moving
 /// \p TotalOps items (unit batches) through \p B.

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Column-aligned plain-text tables, one per reproduced figure/table. The
-/// benches print the same series the paper plots so EXPERIMENTS.md can
-/// compare shapes directly.
+/// benches print the same series the paper plots, so the shapes compare
+/// directly (see the README's "Benchmarks" section).
 ///
 //===----------------------------------------------------------------------===//
 

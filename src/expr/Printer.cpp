@@ -102,7 +102,9 @@ private:
       return NameFn(Id);
     if (Syms && Id < Syms->size())
       return Syms->info(Id).Name;
-    return "v" + std::to_string(Id);
+    std::string Name(1, 'v');
+    Name += std::to_string(Id);
+    return Name;
   }
 
   const SymbolTable *Syms;

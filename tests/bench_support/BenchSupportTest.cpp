@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench_support/BenchOptions.h"
+#include "bench_support/Claims.h"
 #include "bench_support/Drivers.h"
 #include "bench_support/Table.h"
 
@@ -77,6 +78,107 @@ TEST(TableTest, Formatters) {
   EXPECT_EQ(Table::fmtSeconds(0.5), "0.500");
   EXPECT_EQ(Table::fmtCount(42), "42");
   EXPECT_EQ(Table::fmtRatio(26.94), "26.9x");
+}
+
+//===----------------------------------------------------------------------===//
+// Claims (synthetic cells, no threads)
+//===----------------------------------------------------------------------===//
+
+Cell cell(const char *Figure, Mechanism M, int N,
+          std::map<std::string, double> Counts) {
+  return Cell{Figure, mechanismName(M), N, 0.01, std::move(Counts)};
+}
+
+ClaimResult claim(const std::vector<ClaimResult> &Results,
+                  const std::string &Id) {
+  for (const ClaimResult &R : Results)
+    if (R.Id == Id)
+      return R;
+  ADD_FAILURE() << "claim " << Id << " not evaluated";
+  return {};
+}
+
+/// Cells carrying the counts the figure driver recorded: no relay
+/// signalAll, no baseline signal, 1.00 tagged checks per signal, and the
+/// scan's 7.66 (N=16), 31.3 (N=64) and 63.35 (N=128) checks per signal.
+std::vector<Cell> recordedCells() {
+  std::vector<Cell> Cells;
+  for (Mechanism M : {Mechanism::AutoSynchT, Mechanism::AutoSynch})
+    Cells.push_back(cell("fig08", M, 16, {{"signal_alls", 0}}));
+  Cells.push_back(
+      cell("fig08", Mechanism::Baseline, 16, {{"signals", 0}}));
+  for (int N : {2, 16, 64, 128})
+    Cells.push_back(cell("fig11", Mechanism::AutoSynch, N,
+                         {{"signal_alls", 0}, {"checks_per_signal", 1.0}}));
+  Cells.push_back(cell("fig11", Mechanism::AutoSynchT, 16,
+                       {{"signal_alls", 0}, {"checks_per_signal", 7.66}}));
+  Cells.push_back(cell("fig11", Mechanism::AutoSynchT, 64,
+                       {{"signal_alls", 0}, {"checks_per_signal", 31.3}}));
+  Cells.push_back(cell("fig11", Mechanism::AutoSynchT, 128,
+                       {{"signal_alls", 0}, {"checks_per_signal", 63.35}}));
+  return Cells;
+}
+
+TEST(ClaimsTest, RecordedCountsHoldEveryGatedClaim) {
+  std::vector<ClaimResult> Results = checkClaims(recordedCells());
+  for (const char *Id : {"relay-no-signalall", "baseline-no-signal",
+                         "tagged-checks-per-signal",
+                         "scan-checks-per-signal"}) {
+    ClaimResult R = claim(Results, Id);
+    EXPECT_TRUE(R.Gated) << Id;
+    EXPECT_TRUE(R.held()) << Id << ": " << R.FirstViolation;
+  }
+  EXPECT_EQ(claim(Results, "relay-no-signalall").Cells, 9);
+  EXPECT_EQ(claim(Results, "scan-checks-per-signal").Cells, 3);
+}
+
+TEST(ClaimsTest, RelaySignalAllIsViolated) {
+  std::vector<Cell> Cells = recordedCells();
+  Cells.push_back(cell("fig10", Mechanism::AutoSynch, 8, {{"signal_alls", 1}}));
+  ClaimResult R = claim(checkClaims(Cells), "relay-no-signalall");
+  EXPECT_FALSE(R.held());
+  EXPECT_EQ(R.Violations, 1);
+  EXPECT_NE(R.FirstViolation.find("fig10 AutoSynch N=8"), std::string::npos)
+      << R.FirstViolation;
+}
+
+TEST(ClaimsTest, BaselineSignalIsViolated) {
+  std::vector<Cell> Cells = recordedCells();
+  Cells.push_back(cell("fig09", Mechanism::Baseline, 2, {{"signals", 3}}));
+  EXPECT_FALSE(claim(checkClaims(Cells), "baseline-no-signal").held());
+}
+
+TEST(ClaimsTest, TaggedAtTwoChecksPerSignalIsViolated) {
+  std::vector<Cell> Cells = recordedCells();
+  Cells.push_back(cell("fig11", Mechanism::AutoSynch, 32,
+                       {{"checks_per_signal", 2.0}}));
+  ClaimResult R = claim(checkClaims(Cells), "tagged-checks-per-signal");
+  EXPECT_FALSE(R.held());
+  EXPECT_NE(R.FirstViolation.find("N=32"), std::string::npos);
+}
+
+TEST(ClaimsTest, LinearScanAtNOverEightIsViolated) {
+  std::vector<Cell> Cells = recordedCells();
+  Cells.push_back(cell("fig11", Mechanism::AutoSynchT, 32,
+                       {{"checks_per_signal", 32 / 8.0}}));
+  ClaimResult R = claim(checkClaims(Cells), "scan-checks-per-signal");
+  EXPECT_FALSE(R.held());
+  EXPECT_EQ(R.Violations, 1);
+  // Below N = 8 the scan's bound does not apply.
+  Cells.back().Threads = 4;
+  EXPECT_TRUE(claim(checkClaims(Cells), "scan-checks-per-signal").held());
+}
+
+TEST(ClaimsTest, SyncEventComparisonIsReportedNotGated) {
+  std::vector<Cell> Cells = {
+      cell("fig14", Mechanism::Explicit, 64, {{"sync_events", 1140}}),
+      cell("fig14", Mechanism::AutoSynch, 64, {{"sync_events", 1348}})};
+  std::vector<ClaimResult> Results = checkClaims(Cells);
+  ClaimResult R = claim(Results, "fewer-sync-events");
+  EXPECT_FALSE(R.Gated);
+  EXPECT_FALSE(R.held());
+  // Claims without an applicable cell are left out.
+  EXPECT_EQ(Results.size(), 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -572,9 +572,11 @@ class WideMonitor : public Monitor {
 public:
   explicit WideMonitor(MonitorConfig Cfg) : Monitor(Cfg) {
     Vars.reserve(NumVars);
-    for (int I = 0; I != NumVars; ++I)
-      Vars.push_back(std::make_unique<Shared<int64_t>>(
-          *this, "v" + std::to_string(I), 0));
+    for (int I = 0; I != NumVars; ++I) {
+      std::string Name(1, 'v');
+      Name += std::to_string(I);
+      Vars.push_back(std::make_unique<Shared<int64_t>>(*this, Name, 0));
+    }
   }
 
   void set(int I, int64_t V) {

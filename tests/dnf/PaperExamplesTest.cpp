@@ -42,8 +42,10 @@ protected:
     CanonicalPredicate CP = canonicalizePredicate(A, parse(Src));
     std::string Out = printExpr(CP.Expr, V.Syms);
     Out += "  tags:";
-    for (const Tag &T : deriveTags(A, CP.D, V.Syms))
-      Out += " " + T.toString(V.Syms);
+    for (const Tag &T : deriveTags(A, CP.D, V.Syms)) {
+      Out += ' ';
+      Out += T.toString(V.Syms);
+    }
     return Out;
   }
 };

@@ -260,7 +260,9 @@ struct Printer {
       } else {
         Out += "(";
         operand<edsl::isStructural(K)>(X.Lhs);
-        Out += std::string(" ") + exprKindSpelling(K) + " ";
+        Out += ' ';
+        Out += exprKindSpelling(K);
+        Out += ' ';
         operand<edsl::isStructural(K)>(X.Rhs);
         Out += ")";
       }
@@ -271,10 +273,13 @@ struct Printer {
     if constexpr (!edsl::IsLit<T>) {
       print(X);
     } else if constexpr (Structural) {
-      Out += "(" + std::to_string(X) + ")";
+      Out += '(';
+      Out += std::to_string(X);
+      Out += ')';
     } else {
       bool IsBool = std::is_same_v<T, bool>;
-      std::string Name = (IsBool ? "b" : "a") + std::to_string(NextLocal++);
+      std::string Name(1, IsBool ? 'b' : 'a');
+      Name += std::to_string(NextLocal++);
       VarId V = M.declareLocal(Name, IsBool ? TypeKind::Bool : TypeKind::Int);
       if (IsBool)
         Locals.bindBool(V, X);
