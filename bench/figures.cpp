@@ -142,21 +142,27 @@ RunMetrics roundRobinCell(const std::string &Column, int N,
                           const BenchOptions &Opts, Series &Out) {
   auto RR = makeRoundRobin(mech(Column), N);
   RunMetrics M = runRoundRobin(*RR, N, Opts.scaled(40000));
-  if (ConditionManager *Mgr = RR->manager(); Mgr && Mgr->stats().SignalsSent)
-    Out["checks_per_signal"] =
-        static_cast<double>(Mgr->stats().Search.PredicateChecks) /
-        static_cast<double>(Mgr->stats().SignalsSent);
+  ConditionManager *Mgr = RR->manager();
+  if (!Mgr)
+    return M;
+  const ManagerStats &S = Mgr->stats();
+  if (S.SignalsSent)
+    Out["checks_per_signal"] = static_cast<double>(S.Search.PredicateChecks) /
+                               static_cast<double>(S.SignalsSent);
+  if (S.Waits)
+    Out["futile_wakeups"] =
+        static_cast<double>(S.FutileWakeups) / static_cast<double>(S.Waits);
   return M;
 }
 
-/// Await and lock time come from the timed sync layer, relaySignal and tag
-/// management from the condition manager's phase timers; "others" is the
-/// rest of the aggregate thread time, the closest analogue of the paper's
-/// summed per-phase CPU profile.
+/// One timing switch times every phase: await and lock in the sync layer,
+/// relaySignal and tag management in the condition manager; "others" is
+/// the rest of the aggregate thread time, the closest analogue of the
+/// paper's summed per-phase CPU profile.
 RunMetrics table1Cell(const std::string &Column, int N,
                       const BenchOptions &Opts, Series &Out) {
   sync::Counters::global().enableTiming(true);
-  auto RR = makeRoundRobin(mech(Column), N, /*EnablePhaseTimers=*/true);
+  auto RR = makeRoundRobin(mech(Column), N);
   RunMetrics M = runRoundRobin(*RR, N, Opts.scaled(40000));
   sync::Counters::global().enableTiming(false);
 
@@ -168,12 +174,8 @@ RunMetrics table1Cell(const std::string &Column, int N,
   Phase("await_ms", static_cast<double>(M.Sync.AwaitNs) / 1e6);
   Phase("lock_ms", static_cast<double>(M.Sync.LockNs) / 1e6);
   if (ConditionManager *Mgr = RR->manager()) {
-    Phase("relay_ms",
-          static_cast<double>(Mgr->timers().totalNs(PhaseTimers::Relay)) /
-              1e6);
-    Phase("tag_ms",
-          static_cast<double>(Mgr->timers().totalNs(PhaseTimers::TagMgmt)) /
-              1e6);
+    Phase("relay_ms", static_cast<double>(Mgr->stats().RelayNs) / 1e6);
+    Phase("tag_ms", static_cast<double>(Mgr->stats().TagNs) / 1e6);
   }
   Out["others_ms"] = std::max(0.0, Left);
   return M;
@@ -201,8 +203,10 @@ const Figure Figures[] = {
      }},
     {"fig11", "Fig. 11 - round-robin access pattern",
      "N threads take turns; checks_per_signal = relay predicate checks per "
-     "directed signal (the tagging ablation)",
-     "threads", NoBaseline, {"checks_per_signal"}, 1, roundRobinCell},
+     "directed signal (the tagging ablation); futile_wakeups = wakeups that "
+     "re-checked false, per blocking wait",
+     "threads", AllFour, {"checks_per_signal", "futile_wakeups"}, 1,
+     roundRobinCell},
     {"fig12", "Fig. 12 - readers/writers",
      "ticketed fair RW, N writers and 5N readers", "writers", NoBaseline, {},
      1,

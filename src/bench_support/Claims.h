@@ -11,9 +11,10 @@
 /// on synthetic cells without running a thread.
 ///
 /// A claim is *gated* when it holds by construction on any host: the relay
-/// policies never broadcast, the baseline never directs a signal, and the
-/// tag index checks O(1) predicates per signal where the linear scan checks
-/// O(N). Comparisons whose outcome depends on the host's scheduling (sync
+/// policies never broadcast, the baseline never directs a signal, the tag
+/// index checks O(1) predicates per signal where the linear scan checks
+/// O(N), and on round robin the baseline's signalAll wakes waiters whose
+/// turn has not come where AutoSynch wakes only the next one. Comparisons whose outcome depends on the host's scheduling (sync
 /// events, blocks, inactive-cache registrations) are only *reported*; see
 /// the README's "Benchmarks" section for the runs behind that split.
 ///

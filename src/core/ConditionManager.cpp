@@ -36,8 +36,7 @@ ConditionManager::ConditionManager(sync::Mutex &MonitorLock,
                                    const std::vector<Value> &Slots,
                                    const MonitorConfig &Cfg)
     : MonitorLock(MonitorLock), Arena(Arena), Syms(Syms),
-      SharedEnv(SharedEnv), Slots(Slots), Cfg(Cfg),
-      Timers(Cfg.EnablePhaseTimers) {
+      SharedEnv(SharedEnv), Slots(Slots), Cfg(Cfg) {
   if (Cfg.Policy == SignalPolicy::Broadcast)
     BroadcastCond = MonitorLock.newCondition();
 }
@@ -60,21 +59,30 @@ size_t ConditionManager::SigHash::operator()(const SigView &V) const {
 ConditionManager::~ConditionManager() {
   AUTOSYNCH_CHECK(TotalWaiters == 0,
                   "destroying a monitor with blocked waiters");
-  flushRelayCounters();
 }
 
-void ConditionManager::flushRelayCounters() {
-  sync::RelayCountersSnapshot Cur{Stats.RelayCalls, Stats.RelayDirtySkips,
-                                  Stats.Search.FilteredExprs,
-                                  Stats.StampShortCircuits};
-  sync::RelayCounters::global().add(Cur - FlushedRelay);
-  FlushedRelay = Cur;
-  // The deadline-runtime totals ride the same batching cadence.
-  sync::TimedCountersSnapshot Timed{Stats.TimedWaits, Stats.Timeouts,
-                                    Stats.Cancels};
-  sync::TimedCounters::global().add(Timed - FlushedTimed);
-  FlushedTimed = Timed;
-}
+namespace {
+
+/// Adds the wall time of its scope to \p Ns while the sync layer's timing
+/// switch is on (Table 1); otherwise it costs one relaxed load.
+class PhaseClock {
+public:
+  explicit PhaseClock(uint64_t &Ns)
+      : Ns(sync::Counters::global().timingEnabled() ? &Ns : nullptr),
+        T0(this->Ns ? time::nowNs() : 0) {}
+  ~PhaseClock() {
+    if (Ns)
+      *Ns += time::nowNs() - T0;
+  }
+  PhaseClock(const PhaseClock &) = delete;
+  PhaseClock &operator=(const PhaseClock &) = delete;
+
+private:
+  uint64_t *Ns;
+  uint64_t T0;
+};
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Predicate evaluation
@@ -188,7 +196,7 @@ void ConditionManager::activate(Record *R) {
   // check), and it keeps "stamps are only trusted on records that stayed
   // active" a local invariant instead of a whole-lifecycle proof.
   R->StampValid = false;
-  uint64_t T0 = Timers.start();
+  PhaseClock Clock(Stats.TagNs);
   if (Cfg.Policy == SignalPolicy::Tagged)
     for (const Tag &T : R->Tags)
       Index.add(T, R);
@@ -198,7 +206,6 @@ void ConditionManager::activate(Record *R) {
   ActiveList.push_back(R);
   ++ActiveCount;
   R->Active = true;
-  Timers.stop(PhaseTimers::TagMgmt, T0);
 }
 
 void ConditionManager::deactivate(Record *R) {
@@ -206,21 +213,22 @@ void ConditionManager::deactivate(Record *R) {
   AUTOSYNCH_CHECK(R->Waiters == 0, "deactivating a record with waiters");
   AUTOSYNCH_CHECK(R->PendingSignals == 0,
                   "deactivating a record with an in-flight signal");
-  uint64_t T0 = Timers.start();
-  if (Cfg.Policy == SignalPolicy::Tagged)
-    for (const Tag &T : R->Tags)
-      Index.remove(T, R);
-  size_t Pos = R->ActiveIdx;
-  AUTOSYNCH_CHECK(Pos < ActiveList.size() && ActiveList[Pos] == R,
-                  "record's active position is stale");
-  ActiveList[Pos] = ActiveList.back();
-  ActiveList[Pos]->ActiveIdx = Pos;
-  ActiveList.pop_back();
-  R->ActiveIdx = InvalidPos;
-  --ActiveCount;
-  R->Active = false;
-  park(R);
-  Timers.stop(PhaseTimers::TagMgmt, T0);
+  {
+    PhaseClock Clock(Stats.TagNs);
+    if (Cfg.Policy == SignalPolicy::Tagged)
+      for (const Tag &T : R->Tags)
+        Index.remove(T, R);
+    size_t Pos = R->ActiveIdx;
+    AUTOSYNCH_CHECK(Pos < ActiveList.size() && ActiveList[Pos] == R,
+                    "record's active position is stale");
+    ActiveList[Pos] = ActiveList.back();
+    ActiveList[Pos]->ActiveIdx = Pos;
+    ActiveList.pop_back();
+    R->ActiveIdx = InvalidPos;
+    --ActiveCount;
+    R->Active = false;
+    park(R);
+  }
   evictIfNeeded();
 }
 
@@ -286,12 +294,8 @@ ConditionManager::taggedFindTrue(const VarSet &Dirty) {
 }
 
 void ConditionManager::relaySignal(DeferredWake *Defer) {
-  uint64_t T0 = Timers.start();
-  // The process-wide counters are fed in batches, not per exit: a shared
-  // fetch_add here would put cross-monitor cache-line contention on the
-  // very path the dirty skip makes cheap.
-  if ((++Stats.RelayCalls & 63) == 0)
-    flushRelayCounters();
+  PhaseClock Clock(Stats.RelayNs);
+  ++Stats.RelayCalls;
 
   if (Cfg.Policy == SignalPolicy::Broadcast) {
     // Baseline: wake everyone; each waiter re-checks its own record.
@@ -306,7 +310,6 @@ void ConditionManager::relaySignal(DeferredWake *Defer) {
       }
       ++Stats.BroadcastSignals;
     }
-    Timers.stop(PhaseTimers::Relay, T0);
     return;
   }
 
@@ -316,7 +319,6 @@ void ConditionManager::relaySignal(DeferredWake *Defer) {
   // untouched: the in-flight thread's relay must still see these writes.
   if (PendingTotal > 0) {
     ++Stats.RelaySkips;
-    Timers.stop(PhaseTimers::Relay, T0);
     return;
   }
 
@@ -325,7 +327,6 @@ void ConditionManager::relaySignal(DeferredWake *Defer) {
     // active predicate false — the read-only-exit fast path: no shared-
     // expression evaluation, no predicate check, no heap visit.
     ++Stats.RelayDirtySkips;
-    Timers.stop(PhaseTimers::Relay, T0);
     return;
   }
 
@@ -351,7 +352,6 @@ void ConditionManager::relaySignal(DeferredWake *Defer) {
     // under the current state, so the accumulated dirt is discharged.
     AccumDirty.clear();
   }
-  Timers.stop(PhaseTimers::Relay, T0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -402,8 +402,10 @@ bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
       // (which only fires when someone waits) excludes the waiter itself.
       Blocked = true;
       ++TotalWaiters;
+    } else {
+      // Woken, re-checked false, and blocking again.
+      ++Stats.FutileWakeups;
     }
-    uint64_t T0 = Timers.start();
     if (TW) {
       // Epoch after the relay, whose signalAll bumps it under Broadcast,
       // and the cancel flag re-checked after the capture: a cancel wake
@@ -415,7 +417,6 @@ bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
     } else {
       Cond->await();
     }
-    Timers.stop(PhaseTimers::Await, T0);
     if (R->PendingSignals > 0) {
       --R->PendingSignals;
       --PendingTotal;

@@ -91,7 +91,6 @@
 #define AUTOSYNCH_CORE_CONDITIONMANAGER_H
 
 #include "core/MonitorConfig.h"
-#include "core/PhaseTimers.h"
 #include "expr/Bytecode.h"
 #include "expr/Env.h"
 #include "expr/SigEntry.h"
@@ -112,9 +111,14 @@
 
 namespace autosynch {
 
-/// Aggregate signaling statistics, exposed to tests and benches.
+/// The per-monitor signaling statistics: the one record of a monitor's
+/// relay, wait and timing counts. Plain fields guarded by the monitor
+/// lock; a reader that wants a total sums the monitors it owns.
 struct ManagerStats {
   uint64_t Waits = 0;         ///< await() calls that actually blocked.
+  uint64_t FutileWakeups = 0; ///< Wakeups after which the waiter's
+                              ///< predicate re-checked false and it
+                              ///< blocked again (what signalAll wastes).
   uint64_t RelayCalls = 0;    ///< relaySignal() invocations.
   uint64_t RelaySkips = 0;    ///< Relays skipped (a signal was in flight).
   uint64_t RelayDirtySkips = 0; ///< Relays skipped: empty dirty set (no
@@ -139,9 +143,38 @@ struct ManagerStats {
                               ///< their record in the predicate table.
   uint64_t PlanColdBinds = 0; ///< Slotted-plan signatures that did not
                               ///< (registered from the signature).
+  /// Time in relaySignal() and in tag management (activate and
+  /// deactivate), taken only while the sync layer's timing switch is on
+  /// (sync::Counters::enableTiming; Table 1).
+  uint64_t RelayNs = 0;
+  uint64_t TagNs = 0;
   TagSearchStats Search;      ///< Relay search work; records pruned by
                               ///< read-set intersection with the dirty set
                               ///< count in Search.FilteredExprs.
+
+  ManagerStats &operator+=(const ManagerStats &R) {
+    Waits += R.Waits;
+    FutileWakeups += R.FutileWakeups;
+    RelayCalls += R.RelayCalls;
+    RelaySkips += R.RelaySkips;
+    RelayDirtySkips += R.RelayDirtySkips;
+    StampShortCircuits += R.StampShortCircuits;
+    SignalsSent += R.SignalsSent;
+    BroadcastSignals += R.BroadcastSignals;
+    TimedWaits += R.TimedWaits;
+    Timeouts += R.Timeouts;
+    Cancels += R.Cancels;
+    WheelWakeups += R.WheelWakeups;
+    Registrations += R.Registrations;
+    CacheReuses += R.CacheReuses;
+    Evictions += R.Evictions;
+    PlanBindHits += R.PlanBindHits;
+    PlanColdBinds += R.PlanColdBinds;
+    RelayNs += R.RelayNs;
+    TagNs += R.TagNs;
+    Search += R.Search;
+    return *this;
+  }
 };
 
 /// A wakeup picked under the monitor lock but issued after it is released
@@ -253,14 +286,7 @@ public:
   //===--------------------------------------------------------------------===//
 
   const ManagerStats &stats() const { return Stats; }
-  void resetStats() {
-    flushRelayCounters(); // Keep the process-wide totals exact.
-    Stats = ManagerStats();
-    FlushedRelay = sync::RelayCountersSnapshot();
-    FlushedTimed = sync::TimedCountersSnapshot();
-  }
-
-  PhaseTimers &timers() { return Timers; }
+  void resetStats() { Stats = ManagerStats(); }
 
   /// Registered predicates (active + inactive).
   size_t numRegistered() const { return Table.size(); }
@@ -359,19 +385,12 @@ private:
   /// to predicates whose read sets intersect \p Dirty.
   Record *taggedFindTrue(const VarSet &Dirty);
 
-  /// Folds the delta of the per-monitor relay stats since the last flush
-  /// into the process-wide sync::RelayCounters. Called every few dozen
-  /// relays, on destruction, and from resetStats — never per exit, so the
-  /// hot path touches no shared atomics.
-  void flushRelayCounters();
-
   sync::Mutex &MonitorLock;
   ExprArena &Arena;
   SymbolTable &Syms;
   const Env &SharedEnv;
   const std::vector<Value> &Slots;
   MonitorConfig Cfg;
-  PhaseTimers Timers;
 
   /// Predicate table (§5.2): signature -> record, for every route to a
   /// record (plan binds, Ground plans, keyless waits, registerPredicate).
@@ -417,10 +436,6 @@ private:
   std::vector<uint64_t> SlotVersions;
 
   ManagerStats Stats;
-  /// Portion of Stats already folded into sync::RelayCounters::global().
-  sync::RelayCountersSnapshot FlushedRelay;
-  /// Portion of Stats already folded into sync::TimedCounters::global().
-  sync::TimedCountersSnapshot FlushedTimed;
 };
 
 } // namespace autosynch

@@ -58,9 +58,7 @@ void Monitor::enter() {
     ++Depth;
     return;
   }
-  uint64_t T0 = Mgr.timers().start();
   Lock.lock();
-  Mgr.timers().stop(PhaseTimers::Lock, T0);
   Owner.store(Me, std::memory_order_relaxed);
   Depth = 1;
 }

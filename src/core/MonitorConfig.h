@@ -44,10 +44,6 @@ const char *signalPolicyName(SignalPolicy P);
 struct MonitorConfig {
   SignalPolicy Policy = SignalPolicy::Tagged;
 
-  /// Record per-phase CPU time (lock / await / relaySignal / tag manager)
-  /// for the Table 1 experiment. Off by default: two clock reads per phase.
-  bool EnablePhaseTimers = false;
-
   /// Registered predicates with no waiters are parked in an inactive cache
   /// for reuse (§5.2) instead of being destroyed; the oldest entries are
   /// evicted beyond this limit.

@@ -160,6 +160,8 @@ public:
 
   int64_t size() const override { return CountPeek(); }
 
+  ConditionManager *manager() override { return &conditionManager(); }
+
 private:
   int64_t CountPeek() const {
     // Quiescent-only peek for tests; bypasses the ownership check.

@@ -24,6 +24,8 @@
 
 namespace autosynch {
 
+class ConditionManager;
+
 /// Single-item bounded buffer.
 class BoundedBufferIface {
 public:
@@ -46,6 +48,10 @@ public:
 
   /// Current number of buffered items (synchronized snapshot).
   virtual int64_t size() const = 0;
+
+  /// The condition manager of automatic implementations (its signaling
+  /// statistics); null for Explicit.
+  virtual ConditionManager *manager() { return nullptr; }
 };
 
 /// Creates the \p M implementation with space for \p Capacity items.

@@ -94,6 +94,8 @@ public:
 
   int64_t parties() const override { return NumParties; }
 
+  ConditionManager *manager() override { return &conditionManager(); }
+
 private:
   Shared<int64_t> Arrived{*this, "arrived", 0};
   Shared<int64_t> Generation{*this, "generation", 0};

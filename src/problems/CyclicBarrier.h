@@ -26,6 +26,8 @@
 
 namespace autosynch {
 
+class ConditionManager;
+
 /// Reusable barrier for a fixed party count.
 class CyclicBarrierIface {
 public:
@@ -41,6 +43,10 @@ public:
 
   /// The configured party count.
   virtual int64_t parties() const = 0;
+
+  /// The condition manager of automatic implementations (its signaling
+  /// statistics); null for Explicit.
+  virtual ConditionManager *manager() { return nullptr; }
 };
 
 /// Creates the \p M implementation for \p Parties threads per generation.

@@ -173,6 +173,8 @@ public:
         [this] { return Writes.get(); });
   }
 
+  ConditionManager *manager() override { return &conditionManager(); }
+
 private:
   Shared<int64_t> NextTicket{*this, "nextTicket", 0};
   Shared<int64_t> Serving{*this, "serving", 0};

@@ -26,6 +26,8 @@
 
 namespace autosynch {
 
+class ConditionManager;
+
 /// Fair (arrival-order) readers/writers lock over a monitored resource.
 class ReadersWritersIface {
 public:
@@ -39,6 +41,10 @@ public:
   /// Completed (read, write) operations (synchronized snapshots).
   virtual int64_t reads() const = 0;
   virtual int64_t writes() const = 0;
+
+  /// The condition manager of automatic implementations (its signaling
+  /// statistics); null for Explicit.
+  virtual ConditionManager *manager() { return nullptr; }
 };
 
 std::unique_ptr<ReadersWritersIface> makeReadersWriters(Mechanism M);

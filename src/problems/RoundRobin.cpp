@@ -84,12 +84,9 @@ private:
 } // namespace
 
 std::unique_ptr<RoundRobinIface>
-autosynch::makeRoundRobin(Mechanism M, int64_t NumThreads,
-                          bool EnablePhaseTimers) {
+autosynch::makeRoundRobin(Mechanism M, int64_t NumThreads) {
   AUTOSYNCH_CHECK(NumThreads > 0, "round robin requires >= 1 thread");
   if (M == Mechanism::Explicit)
     return std::make_unique<ExplicitRoundRobin>(NumThreads);
-  MonitorConfig Cfg = configFor(M);
-  Cfg.EnablePhaseTimers = EnablePhaseTimers;
-  return std::make_unique<AutoRoundRobin>(NumThreads, Cfg);
+  return std::make_unique<AutoRoundRobin>(NumThreads, configFor(M));
 }

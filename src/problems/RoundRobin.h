@@ -39,17 +39,14 @@ public:
   /// Total accesses performed (synchronized snapshot).
   virtual int64_t accesses() const = 0;
 
-  /// The condition manager of automatic implementations (for the Table 1
-  /// phase timers and signaling statistics); null for Explicit.
+  /// The condition manager of automatic implementations (its signaling
+  /// statistics); null for Explicit.
   virtual ConditionManager *manager() { return nullptr; }
 };
 
-/// Creates the \p M implementation for \p NumThreads participants. When
-/// \p EnablePhaseTimers is set, automatic implementations record the
-/// Table 1 phase breakdown (relaySignal / tag management).
-std::unique_ptr<RoundRobinIface>
-makeRoundRobin(Mechanism M, int64_t NumThreads,
-               bool EnablePhaseTimers = false);
+/// Creates the \p M implementation for \p NumThreads participants.
+std::unique_ptr<RoundRobinIface> makeRoundRobin(Mechanism M,
+                                                int64_t NumThreads);
 
 } // namespace autosynch
 

@@ -48,7 +48,10 @@ struct CountersSnapshot {
 /// to keep always on).
 class Counters {
 public:
-  static Counters &global();
+  static Counters &global() {
+    static Counters Instance;
+    return Instance;
+  }
 
   void onAwait() { Awaits.fetch_add(1, std::memory_order_relaxed); }
   void onSignal() { Signals.fetch_add(1, std::memory_order_relaxed); }
@@ -61,8 +64,10 @@ public:
     LockNs.fetch_add(Ns, std::memory_order_relaxed);
   }
 
-  /// Per-phase wall timing of await/lock, for the Table 1 experiment.
-  /// Costs two clock reads per operation; off by default.
+  /// The one timing switch of the Table 1 experiment: while on, the sync
+  /// layer times await and lock acquisition here, and every condition
+  /// manager times its relays and tag management (ManagerStats::RelayNs,
+  /// ::TagNs). Costs two clock reads per timed phase; off by default.
   void enableTiming(bool On) {
     TimingEnabled.store(On, std::memory_order_relaxed);
   }
@@ -96,106 +101,6 @@ private:
   std::atomic<uint64_t> AwaitNs{0};
   std::atomic<uint64_t> LockNs{0};
   std::atomic<bool> TimingEnabled{false};
-};
-
-/// Snapshot of the process-wide dirty-set relay counters.
-struct RelayCountersSnapshot {
-  uint64_t RelayCalls = 0;         ///< relaySignal() invocations.
-  uint64_t DirtySkips = 0;         ///< Relays skipped: empty dirty set.
-  uint64_t FilteredExprs = 0;      ///< Index entries skipped by read-set
-                                   ///< intersection during relay scans.
-  uint64_t StampShortCircuits = 0; ///< Predicate checks answered by the
-                                   ///< false-stamp, no evaluation run.
-
-  RelayCountersSnapshot operator-(const RelayCountersSnapshot &R) const {
-    return {RelayCalls - R.RelayCalls, DirtySkips - R.DirtySkips,
-            FilteredExprs - R.FilteredExprs,
-            StampShortCircuits - R.StampShortCircuits};
-  }
-};
-
-/// Process-wide counters of dirty-set relay behavior, aggregated across
-/// every monitor (the per-monitor numbers live in ManagerStats). The
-/// condition manager batches its lock-guarded stats into these atomics
-/// every few dozen relays (and on destruction/reset) rather than touching
-/// a shared cache line on every monitor exit; totals therefore trail the
-/// per-monitor stats by at most one batch until the monitor flushes.
-class RelayCounters {
-public:
-  static RelayCounters &global();
-
-  /// Adds a per-monitor delta (see ConditionManager::flushRelayCounters).
-  void add(const RelayCountersSnapshot &D) {
-    RelayCalls.fetch_add(D.RelayCalls, std::memory_order_relaxed);
-    DirtySkips.fetch_add(D.DirtySkips, std::memory_order_relaxed);
-    FilteredExprs.fetch_add(D.FilteredExprs, std::memory_order_relaxed);
-    StampShortCircuits.fetch_add(D.StampShortCircuits,
-                                 std::memory_order_relaxed);
-  }
-
-  RelayCountersSnapshot snapshot() const {
-    return {RelayCalls.load(std::memory_order_relaxed),
-            DirtySkips.load(std::memory_order_relaxed),
-            FilteredExprs.load(std::memory_order_relaxed),
-            StampShortCircuits.load(std::memory_order_relaxed)};
-  }
-
-  void reset() {
-    RelayCalls.store(0, std::memory_order_relaxed);
-    DirtySkips.store(0, std::memory_order_relaxed);
-    FilteredExprs.store(0, std::memory_order_relaxed);
-    StampShortCircuits.store(0, std::memory_order_relaxed);
-  }
-
-private:
-  std::atomic<uint64_t> RelayCalls{0};
-  std::atomic<uint64_t> DirtySkips{0};
-  std::atomic<uint64_t> FilteredExprs{0};
-  std::atomic<uint64_t> StampShortCircuits{0};
-};
-
-/// Snapshot of the process-wide timed-wait counters.
-struct TimedCountersSnapshot {
-  uint64_t TimedWaits = 0;   ///< Timed waits that reached the blocking path.
-  uint64_t Timeouts = 0;     ///< Timed waits that returned false on expiry.
-  uint64_t Cancels = 0;      ///< Waits aborted through a CancelToken.
-
-  TimedCountersSnapshot operator-(const TimedCountersSnapshot &R) const {
-    return {TimedWaits - R.TimedWaits, Timeouts - R.Timeouts,
-            Cancels - R.Cancels};
-  }
-};
-
-/// Process-wide counters of deadline-runtime behavior, aggregated across
-/// every monitor. Fed in batches by the condition managers exactly like
-/// RelayCounters (flushed every few dozen relays and at destruction/
-/// reset), so the timed hot path touches no shared atomics either.
-class TimedCounters {
-public:
-  static TimedCounters &global();
-
-  void add(const TimedCountersSnapshot &D) {
-    TimedWaits.fetch_add(D.TimedWaits, std::memory_order_relaxed);
-    Timeouts.fetch_add(D.Timeouts, std::memory_order_relaxed);
-    Cancels.fetch_add(D.Cancels, std::memory_order_relaxed);
-  }
-
-  TimedCountersSnapshot snapshot() const {
-    return {TimedWaits.load(std::memory_order_relaxed),
-            Timeouts.load(std::memory_order_relaxed),
-            Cancels.load(std::memory_order_relaxed)};
-  }
-
-  void reset() {
-    TimedWaits.store(0, std::memory_order_relaxed);
-    Timeouts.store(0, std::memory_order_relaxed);
-    Cancels.store(0, std::memory_order_relaxed);
-  }
-
-private:
-  std::atomic<uint64_t> TimedWaits{0};
-  std::atomic<uint64_t> Timeouts{0};
-  std::atomic<uint64_t> Cancels{0};
 };
 
 } // namespace autosynch::sync

@@ -54,6 +54,16 @@ struct TagSearchStats {
                                 ///< None/linear-scan records) skipped
                                 ///< because their read set cannot
                                 ///< intersect the relay dirty set.
+
+  TagSearchStats &operator+=(const TagSearchStats &R) {
+    SharedExprEvals += R.SharedExprEvals;
+    EqLookups += R.EqLookups;
+    HeapVisits += R.HeapVisits;
+    PredicateChecks += R.PredicateChecks;
+    NoneScans += R.NoneScans;
+    FilteredExprs += R.FilteredExprs;
+    return *this;
+  }
 };
 
 /// A heap of threshold tags for one shared expression and one bound

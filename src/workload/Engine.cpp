@@ -67,6 +67,16 @@ void atomicMax(std::atomic<uint64_t> &A, uint64_t V) {
     ;
 }
 
+/// Adds the stats of \p Iface's condition manager to \p Sum; monitors
+/// without one (absent, or Explicit) add nothing.
+template <typename IfaceT>
+void addMonitorStats(ManagerStats &Sum, IfaceT *Iface) {
+  if (!Iface)
+    return;
+  if (ConditionManager *M = Iface->manager())
+    Sum += M->stats();
+}
+
 /// Uniform double in (0, 1].
 double unitUniform(Rng &R) {
   return (static_cast<double>(R.next() >> 11) + 1.0) / 9007199254740992.0;
@@ -331,10 +341,6 @@ ScenarioReport Engine::run() {
 
   sync::CountersSnapshot Sync0 = sync::Counters::global().snapshot();
   PlanCountersSnapshot Plan0 = PlanCounters::global().snapshot();
-  sync::RelayCountersSnapshot Relay0 =
-      sync::RelayCounters::global().snapshot();
-  sync::TimedCountersSnapshot Time0 =
-      sync::TimedCounters::global().snapshot();
   StartGate.arrive_and_wait();
   Stopwatch Watch;
   for (std::thread &T : Pool)
@@ -366,6 +372,11 @@ ScenarioReport Engine::run() {
       SR.Reads = St.RW->reads();
       SR.Writes = St.RW->writes();
     }
+    addMonitorStats(SR.Monitor, St.In.get());
+    addMonitorStats(SR.Monitor, St.RW.get());
+    addMonitorStats(SR.Monitor, St.Barrier.get());
+    addMonitorStats(SR.Monitor, St.Rotation.get());
+    R.Monitor += SR.Monitor;
     for (const LatencyHistogram &H : St.WorkerLatency)
       SR.Latency.merge(H);
     uint64_t First = St.FirstNs.load(std::memory_order_relaxed);
@@ -385,14 +396,6 @@ ScenarioReport Engine::run() {
   }
   R.Throughput =
       Wall > 0.0 ? static_cast<double>(SinkTokens) / Wall : 0.0;
-
-  // The monitors feed sync::RelayCounters in batches and flush the
-  // remainder on destruction, so they must be torn down (the stage
-  // reports above are done with them) before the relay delta is taken —
-  // otherwise a run with few relays per monitor reports zeros.
-  Stages.clear();
-  R.Relay = sync::RelayCounters::global().snapshot() - Relay0;
-  R.Time = sync::TimedCounters::global().snapshot() - Time0;
   return R;
 }
 
@@ -442,22 +445,22 @@ void workload::writeReportJson(const ScenarioReport &R, JsonWriter &J) {
       .endObject();
   J.key("relay");
   J.beginObject()
-      .member("calls", R.Relay.RelayCalls)
-      .member("dirty_skips", R.Relay.DirtySkips)
-      .member("filtered_exprs", R.Relay.FilteredExprs)
-      .member("stamp_short_circuits", R.Relay.StampShortCircuits)
+      .member("calls", R.Monitor.RelayCalls)
+      .member("dirty_skips", R.Monitor.RelayDirtySkips)
+      .member("filtered_exprs", R.Monitor.Search.FilteredExprs)
+      .member("stamp_short_circuits", R.Monitor.StampShortCircuits)
       .endObject();
   // Schema v4: the deadline-runtime block. op_timeout_ns echoes the
   // per-op bound in force (0 = untimed run), op_timeouts totals the
-  // per-stage expiry counts, and the "time" counters are the process-wide
-  // deadline-runtime deltas (schema v7 dropped "wheel_wakeups").
+  // per-stage expiry counts, and the "time" counters total the monitors'
+  // timed waits (schema v7 dropped "wheel_wakeups").
   J.member("op_timeout_ns", R.OpTimeoutNs)
       .member("op_timeouts", R.OpTimeouts);
   J.key("time");
   J.beginObject()
-      .member("timed_waits", R.Time.TimedWaits)
-      .member("timeouts", R.Time.Timeouts)
-      .member("cancels", R.Time.Cancels)
+      .member("timed_waits", R.Monitor.TimedWaits)
+      .member("timeouts", R.Monitor.Timeouts)
+      .member("cancels", R.Monitor.Cancels)
       .endObject();
   J.key("stages");
   J.beginArray();
@@ -475,6 +478,17 @@ void workload::writeReportJson(const ScenarioReport &R, JsonWriter &J) {
       J.member("op_timeouts", S.OpTimeouts);
     J.key("latency_ns");
     writeHistogramJson(J, S.Latency);
+    // Schema v8: the stage's own monitor counters.
+    J.key("monitor");
+    J.beginObject()
+        .member("waits", S.Monitor.Waits)
+        .member("signals_sent", S.Monitor.SignalsSent)
+        .member("futile_wakeups", S.Monitor.FutileWakeups)
+        .member("relay_calls", S.Monitor.RelayCalls)
+        .member("dirty_skips", S.Monitor.RelayDirtySkips)
+        .member("timed_waits", S.Monitor.TimedWaits)
+        .member("timeouts", S.Monitor.Timeouts)
+        .endObject();
     J.endObject();
   }
   J.endArray();

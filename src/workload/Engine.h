@@ -21,6 +21,7 @@
 #ifndef AUTOSYNCH_WORKLOAD_ENGINE_H
 #define AUTOSYNCH_WORKLOAD_ENGINE_H
 
+#include "core/ConditionManager.h"
 #include "plan/PlanCache.h"
 #include "problems/Mechanism.h"
 #include "support/Stats.h"
@@ -78,6 +79,9 @@ struct StageReport {
   /// Stage sojourn per token: enqueue on the input channel to forward.
   /// Empty for sources.
   LatencyHistogram Latency;
+  /// The condition-manager stats of the stage's monitors (input channel
+  /// and work monitor) summed; all zero for sources and Explicit.
+  ManagerStats Monitor;
 };
 
 /// Whole-scenario results.
@@ -96,12 +100,10 @@ struct ScenarioReport {
   /// monitors' blocking waits were served (plan bind hits vs. cold
   /// binds vs. keyless registrations).
   PlanCountersSnapshot Plan;
-  /// Dirty-set relay deltas over the run (process-wide): skipped relays,
-  /// read-set-filtered index entries, stamp short-circuits.
-  sync::RelayCountersSnapshot Relay;
-  /// Deadline-runtime deltas over the run (process-wide): timed waits
-  /// that blocked, expiries, cancels.
-  sync::TimedCountersSnapshot Time;
+  /// The stages' Monitor blocks summed: every relay, skip, filtered
+  /// index entry, stamp short-circuit and timed wait of the run's
+  /// monitors.
+  ManagerStats Monitor;
   /// The per-op deadline in force (RunConfig::OpTimeoutNs) and the total
   /// op expiries across stages.
   uint64_t OpTimeoutNs = 0;

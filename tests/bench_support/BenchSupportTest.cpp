@@ -169,6 +169,28 @@ TEST(ClaimsTest, LinearScanAtNOverEightIsViolated) {
   EXPECT_TRUE(claim(checkClaims(Cells), "scan-checks-per-signal").held());
 }
 
+TEST(ClaimsTest, BaselineFutileWakeupsAtOrBelowAutoSynchAreViolated) {
+  // fig11 at 16 threads read 8.40 futile wakeups per wait for the
+  // baseline and 0 for AutoSynch.
+  std::vector<Cell> Cells = {
+      cell("fig11", Mechanism::Baseline, 16, {{"futile_wakeups", 8.40}}),
+      cell("fig11", Mechanism::AutoSynch, 16, {{"futile_wakeups", 0}})};
+  ClaimResult R = claim(checkClaims(Cells), "baseline-more-futile-wakeups");
+  EXPECT_TRUE(R.Gated);
+  EXPECT_TRUE(R.held()) << R.FirstViolation;
+  Cells[0].Counts["futile_wakeups"] = 0;
+  R = claim(checkClaims(Cells), "baseline-more-futile-wakeups");
+  EXPECT_FALSE(R.held());
+  EXPECT_NE(R.FirstViolation.find("futile_wakeups 0 vs baseline 0"),
+            std::string::npos)
+      << R.FirstViolation;
+  // Below N = 8 the claim does not apply.
+  for (Cell &C : Cells)
+    C.Threads = 4;
+  for (const ClaimResult &Res : checkClaims(Cells))
+    EXPECT_NE(Res.Id, "baseline-more-futile-wakeups");
+}
+
 TEST(ClaimsTest, SyncEventComparisonIsReportedNotGated) {
   std::vector<Cell> Cells = {
       cell("fig14", Mechanism::Explicit, 64, {{"sync_events", 1140}}),

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -39,6 +40,11 @@ public:
   }
 
   AUTOSYNCH_TEST_WAITER_PROBE()
+
+  uint64_t futileWakeups() {
+    Region R(*this);
+    return conditionManager().stats().FutileWakeups;
+  }
 
   using Monitor::conditionManager;
 
@@ -131,32 +137,70 @@ TEST(ConditionManagerTest, HandoffsRacingTheWaiterLeaveNoWaiters) {
   EXPECT_LE(M.conditionManager().stats().Registrations, 8u);
 }
 
+/// Turns the process-wide timing switch on for its scope.
+struct TimingOn {
+  TimingOn() { sync::Counters::global().enableTiming(true); }
+  ~TimingOn() { sync::Counters::global().enableTiming(false); }
+};
+
 TEST(ConditionManagerTest, PhaseTimersAccumulateWhenEnabled) {
-  MonitorConfig Cfg;
-  Cfg.EnablePhaseTimers = true;
-  TurnMonitor M(Cfg);
+  TimingOn Timing;
+  TurnMonitor M(MonitorConfig{});
   std::thread W([&] { M.awaitTurn(1); });
   testutil::awaitWaiters(M, 1);
   M.advance();
   W.join();
-  PhaseTimers &T = M.conditionManager().timers();
-  EXPECT_GT(T.totalNs(PhaseTimers::Await), 0u);
-  EXPECT_GT(T.totalNs(PhaseTimers::Relay), 0u);
+  const ManagerStats &S = M.conditionManager().stats();
+  EXPECT_GT(S.RelayNs, 0u);
   // The waiter registered tags (Tagged policy default).
-  EXPECT_GT(T.totalNs(PhaseTimers::TagMgmt), 0u);
+  EXPECT_GT(S.TagNs, 0u);
 }
 
 TEST(ConditionManagerTest, PhaseTimersSilentWhenDisabled) {
-  MonitorConfig Cfg;
-  Cfg.EnablePhaseTimers = false;
-  TurnMonitor M(Cfg);
+  ASSERT_FALSE(sync::Counters::global().timingEnabled());
+  TurnMonitor M(MonitorConfig{});
   std::thread W([&] { M.awaitTurn(1); });
   testutil::awaitWaiters(M, 1);
   M.advance();
   W.join();
-  PhaseTimers &T = M.conditionManager().timers();
-  EXPECT_EQ(T.totalNs(PhaseTimers::Await), 0u);
-  EXPECT_EQ(T.totalNs(PhaseTimers::Relay), 0u);
+  const ManagerStats &S = M.conditionManager().stats();
+  EXPECT_EQ(S.RelayNs, 0u);
+  EXPECT_EQ(S.TagNs, 0u);
+}
+
+TEST(ConditionManagerTest, OnlyBroadcastWakesFutilely) {
+  // Two waiters on different turns; turn 1 comes. The relay policies wake
+  // only its waiter. Broadcast's signalAll wakes both, and the turn-2
+  // waiter re-checks false and blocks again: a futile wakeup.
+  for (SignalPolicy P : {SignalPolicy::Tagged, SignalPolicy::LinearScan,
+                         SignalPolicy::Broadcast}) {
+    SCOPED_TRACE(signalPolicyName(P));
+    MonitorConfig Cfg;
+    Cfg.Policy = P;
+    TurnMonitor M(Cfg);
+    std::thread First([&] { M.awaitTurn(1); });
+    std::thread Second([&] { M.awaitTurn(2); });
+    testutil::awaitWaiters(M, 2);
+    M.advance();
+    First.join();
+    if (P == SignalPolicy::Broadcast) {
+      // The second waiter's re-check may still be pending; turn 2 must
+      // not come before it, or its wakeup would find the predicate true.
+      auto Deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (M.futileWakeups() == 0 &&
+             std::chrono::steady_clock::now() < Deadline)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    M.advance();
+    Second.join();
+    uint64_t Futile = M.conditionManager().stats().FutileWakeups;
+    if (P == SignalPolicy::Broadcast)
+      EXPECT_GE(Futile, 1u);
+    else
+      EXPECT_EQ(Futile, 0u);
+    EXPECT_EQ(M.conditionManager().stats().Waits, 2u);
+  }
 }
 
 TEST(ConditionManagerTest, TaggedSearchStatsAdvance) {

@@ -168,6 +168,41 @@ TEST_P(ScenarioEngineTest, AutomaticPoliciesNeverBroadcast) {
   EXPECT_EQ(R.Sync.SignalAlls, 0u);
 }
 
+TEST_P(ScenarioEngineTest, RunTotalsSumTheStageMonitors) {
+  // The run-level relay and timed-wait counts are the stages' monitor
+  // blocks summed, read before teardown: exact however few relays each
+  // monitor made.
+  for (uint64_t OpTimeoutNs : {uint64_t{0}, uint64_t{1000000}}) {
+    SCOPED_TRACE(OpTimeoutNs);
+    RunConfig Cfg;
+    Cfg.Mech = GetParam();
+    Cfg.TokensPerSource = 300;
+    Cfg.OpTimeoutNs = OpTimeoutNs;
+    ScenarioReport R =
+        runScenario(findScenario("pipeline")->withWorkers(3), Cfg);
+    ManagerStats Sum;
+    for (const StageReport &S : R.Stages)
+      Sum += S.Monitor;
+    EXPECT_EQ(R.Monitor.RelayCalls, Sum.RelayCalls);
+    EXPECT_EQ(R.Monitor.RelayDirtySkips, Sum.RelayDirtySkips);
+    EXPECT_EQ(R.Monitor.Search.FilteredExprs, Sum.Search.FilteredExprs);
+    EXPECT_EQ(R.Monitor.StampShortCircuits, Sum.StampShortCircuits);
+    EXPECT_EQ(R.Monitor.TimedWaits, Sum.TimedWaits);
+    EXPECT_EQ(R.Monitor.Timeouts, Sum.Timeouts);
+    EXPECT_EQ(R.Monitor.Cancels, Sum.Cancels);
+    EXPECT_EQ(R.Stages[0].Monitor.RelayCalls, 0u); // The source.
+    if (GetParam() == Mechanism::Explicit) {
+      EXPECT_EQ(R.Monitor.RelayCalls, 0u); // No condition managers.
+      continue;
+    }
+    EXPECT_GT(R.Monitor.RelayCalls, 0u);
+    if (OpTimeoutNs != 0)
+      EXPECT_GT(R.Monitor.TimedWaits, 0u);
+    else
+      EXPECT_EQ(R.Monitor.TimedWaits, 0u);
+  }
+}
+
 TEST(ScenarioEngineTest2, ReadWriteSplitIsSeedDeterministic) {
   // The seed-sensitive observable: the RW stage's read/write split is a
   // pure function of (seed, token id), so the same seed must reproduce it

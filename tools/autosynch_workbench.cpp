@@ -349,15 +349,16 @@ int main(int Argc, char **Argv) {
     for (const ScenarioReport &R : Reports) {
       if (R.Mech != Mechanism::AutoSynch && R.Mech != Mechanism::AutoSynchT)
         continue;
-      uint64_t Exercised = R.Relay.DirtySkips + R.Relay.FilteredExprs +
-                           R.Relay.StampShortCircuits;
+      uint64_t Exercised = R.Monitor.RelayDirtySkips +
+                           R.Monitor.Search.FilteredExprs +
+                           R.Monitor.StampShortCircuits;
       if (Exercised == 0) {
         std::fprintf(stderr,
                      "%s: relay-skip assertion failed for %s: "
                      "calls=%llu dirty_skips=0 filtered_exprs=0 "
                      "stamp_short_circuits=0\n",
                      Argv[0], mechanismName(R.Mech),
-                     static_cast<unsigned long long>(R.Relay.RelayCalls));
+                     static_cast<unsigned long long>(R.Monitor.RelayCalls));
         return 1;
       }
     }
@@ -383,7 +384,7 @@ int main(int Argc, char **Argv) {
   JsonWriter J(*OS);
   J.beginObject()
       .member("tool", "autosynch-workbench")
-      .member("version", 7) // Bumped on every schema change (README).
+      .member("version", 8) // Bumped on every schema change (README).
       .member("scenario", Scenario->Name)
       .member("description", Scenario->Description)
       .member("tokens_per_source", Base.TokensPerSource)
