@@ -27,6 +27,12 @@
 //    such wait is a genuinely new predicate: the cold-bind cost. The
 //    record is registered straight from the resolved signature into a
 //    recycled evicted record, so the sweep interns nothing either.
+//  * uncontended — one thread pinned to one CPU runs monitor sections
+//    that never block: a readers-writers read pair (startRead+endRead),
+//    a write pair, and a parameterized bounded buffer put+take, each
+//    under AutoSynch and under the hand-written explicit monitor. The
+//    AutoSynch/explicit ns-per-op ratio of each is printed and written
+//    out (not gated: it depends on the host).
 //
 // Allocation metrics: `heap_allocs_per_op` counts every operator-new in
 // the process during the measured section (interposed below);
@@ -49,14 +55,20 @@
 #include "bench_support/Table.h"
 #include "core/Monitor.h"
 #include "problems/Mechanism.h"
+#include "problems/ParamBoundedBuffer.h"
+#include "problems/ReadersWriters.h"
+
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace autosynch;
@@ -443,11 +455,109 @@ Cell runGlobalizeSweep(int64_t Ops, int Reps) {
   return C;
 }
 
+/// Pins the calling thread to the highest CPU it may run on, and restores
+/// its previous affinity when destroyed.
+class PinToOneCpu {
+public:
+  PinToOneCpu() {
+    if (sched_getaffinity(0, sizeof(Saved), &Saved) != 0)
+      return;
+    int Cpu = CPU_SETSIZE - 1;
+    while (Cpu >= 0 && !CPU_ISSET(Cpu, &Saved))
+      --Cpu;
+    cpu_set_t One;
+    CPU_ZERO(&One);
+    CPU_SET(Cpu, &One);
+    Pinned = Cpu >= 0 && sched_setaffinity(0, sizeof(One), &One) == 0;
+  }
+  ~PinToOneCpu() {
+    if (Pinned)
+      sched_setaffinity(0, sizeof(Saved), &Saved);
+  }
+  PinToOneCpu(const PinToOneCpu &) = delete;
+  PinToOneCpu &operator=(const PinToOneCpu &) = delete;
+
+private:
+  cpu_set_t Saved;
+  bool Pinned = false;
+};
+
+/// The best-of-\p Reps ns per call of \p Pair, one uncontended section
+/// pair of a warm \p Mech monitor.
+template <typename PairFn>
+Cell runUncontended(const char *Op, Mechanism Mech, int64_t Pairs, int Reps,
+                    PairFn Pair) {
+  Cell C;
+  C.Scenario = std::string("uncontended-") + Op;
+  C.Mech = Mech;
+  C.Ops = Pairs;
+  for (int64_t I = 0; I != Pairs / 10 + 1; ++I) // Warm-up.
+    Pair();
+  double BestSeconds = -1.0;
+  for (int Rep = 0; Rep != Reps; ++Rep) {
+    uint64_t Heap0 = heapAllocs();
+    double T0 = nowSeconds();
+    for (int64_t I = 0; I != Pairs; ++I)
+      Pair();
+    double Seconds = nowSeconds() - T0;
+    if (BestSeconds < 0 || Seconds < BestSeconds) {
+      BestSeconds = Seconds;
+      C.NsPerOp = Seconds * 1e9 / static_cast<double>(Pairs);
+      C.HeapAllocsPerOp = static_cast<double>(heapAllocs() - Heap0) /
+                          static_cast<double>(Pairs);
+    }
+  }
+  return C;
+}
+
+/// The uncontended cells on one CPU: a readers-writers read pair and
+/// write pair and a bounded-buffer put+take, each as (AutoSynch,
+/// explicit).
+std::vector<std::pair<Cell, Cell>> runUncontendedPairs(int64_t Pairs,
+                                                       int Reps) {
+  PinToOneCpu Pin;
+  std::vector<std::pair<Cell, Cell>> Result;
+  auto Both = [&](const char *Op, auto Run) {
+    Cell Auto = Run(Op, Mechanism::AutoSynch);
+    Result.emplace_back(std::move(Auto), Run(Op, Mechanism::Explicit));
+  };
+  Both("read-pair", [&](const char *Op, Mechanism Mech) {
+    std::unique_ptr<ReadersWritersIface> RW = makeReadersWriters(Mech);
+    return runUncontended(Op, Mech, Pairs, Reps, [&] {
+      RW->startRead();
+      RW->endRead();
+    });
+  });
+  Both("write-pair", [&](const char *Op, Mechanism Mech) {
+    std::unique_ptr<ReadersWritersIface> RW = makeReadersWriters(Mech);
+    return runUncontended(Op, Mech, Pairs, Reps, [&] {
+      RW->startWrite();
+      RW->endWrite();
+    });
+  });
+  Both("put-take", [&](const char *Op, Mechanism Mech) {
+    std::unique_ptr<ParamBoundedBufferIface> B =
+        makeParamBoundedBuffer(Mech, /*Capacity=*/8);
+    return runUncontended(Op, Mech, Pairs, Reps, [&] {
+      B->put(3);
+      B->take(3);
+    });
+  });
+  return Result;
+}
+
 //===----------------------------------------------------------------------===//
 // JSON output
 //===----------------------------------------------------------------------===//
 
+/// An uncontended op's AutoSynch/explicit ns-per-op ratio.
+struct UncontendedRatio {
+  std::string Op;
+  double Ratio;
+};
+
 void writeJson(const std::vector<Cell> &Cells, double EdslRatio,
+               const std::vector<UncontendedRatio> &Uncontended,
                const std::string &Path) {
   std::ofstream OS(Path);
   if (!OS) {
@@ -455,9 +565,13 @@ void writeJson(const std::vector<Cell> &Cells, double EdslRatio,
                  Path.c_str());
     std::exit(1);
   }
-  OS << "{\n  \"bench\": \"hotpath_waitcycle\",\n  \"schema\": 4,\n"
+  OS << "{\n  \"bench\": \"hotpath_waitcycle\",\n  \"schema\": 5,\n"
      << "  \"edsl_over_parsed_fastpath\": " << EdslRatio << ",\n"
-     << "  \"runs\": [\n";
+     << "  \"uncontended_autosynch_over_explicit\": {";
+  for (size_t I = 0; I != Uncontended.size(); ++I)
+    OS << (I ? ", " : "") << "\"" << Uncontended[I].Op
+       << "\": " << Uncontended[I].Ratio;
+  OS << "},\n  \"runs\": [\n";
   for (size_t I = 0; I != Cells.size(); ++I) {
     const Cell &C = Cells[I];
     OS << "    {\"scenario\": \"" << C.Scenario << "\", \"mechanism\": \""
@@ -521,11 +635,24 @@ int main(int Argc, char **Argv) {
   Record(std::move(Parsed));
   Record(std::move(Edsl));
   Record(runGlobalizeSweep(SweepOps / 4, Opts.Reps));
+  std::vector<UncontendedRatio> Uncontended;
+  for (auto &[Auto, Explicit] :
+       runUncontendedPairs(Opts.scaled(200000), Opts.Reps)) {
+    Uncontended.push_back(
+        {Auto.Scenario.substr(sizeof("uncontended-") - 1),
+         Auto.NsPerOp / Explicit.NsPerOp});
+    Record(std::move(Auto));
+    Record(std::move(Explicit));
+  }
 
   T.print();
   std::printf("# edsl-fastpath / fastpath-sweep: %.2fx ns per op "
               "(target <= 1.1; host-dependent, not gated)\n",
               EdslRatio);
-  writeJson(Cells, EdslRatio, JsonPath);
+  for (const UncontendedRatio &U : Uncontended)
+    std::printf("# uncontended %s, one CPU: AutoSynch / explicit %.2fx ns "
+                "per op (host-dependent, not gated)\n",
+                U.Op.c_str(), U.Ratio);
+  writeJson(Cells, EdslRatio, Uncontended, JsonPath);
   return 0;
 }

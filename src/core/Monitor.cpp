@@ -30,30 +30,12 @@ VarId Monitor::declareShared(std::string_view Name, TypeKind Ty) {
   return Id;
 }
 
-Value Monitor::readSlot(VarId Id) const {
-  AUTOSYNCH_CHECK(ownedByCaller(),
-                  "shared variable read outside the monitor");
-  return Slots[Id];
-}
-
-void Monitor::writeSlot(VarId Id, Value V, bool RequireOwned) {
-  AUTOSYNCH_CHECK(!RequireOwned || ownedByCaller(),
-                  "shared variable write outside the monitor");
-  // A write that does not change the value cannot change any predicate:
-  // it neither dirties the relay set nor bumps the variable's version, so
-  // idempotent stores keep the read-only-exit fast path.
-  if (Slots[Id] == V)
-    return;
-  Slots[Id] = V;
-  Mgr.noteWrite(Id);
-}
-
 //===----------------------------------------------------------------------===//
 // Mutual exclusion (reentrant monitor regions)
 //===----------------------------------------------------------------------===//
 
 void Monitor::enter() {
-  std::thread::id Me = std::this_thread::get_id();
+  const void *Me = callerToken();
   if (Owner.load(std::memory_order_relaxed) == Me) {
     ++Depth;
     return;
@@ -74,7 +56,7 @@ void Monitor::exit() {
   // on the mutex this thread still holds (the wake-then-block convoy).
   DeferredWake Wake;
   Mgr.relaySignal(&Wake);
-  Owner.store(std::thread::id(), std::memory_order_relaxed);
+  Owner.store(nullptr, std::memory_order_relaxed);
   Lock.unlock();
   Wake.fire();
 }
@@ -88,7 +70,7 @@ bool Monitor::waitUntilImpl(const Env &Locals, ParseEntry *Entry,
   AUTOSYNCH_CHECK(ownedByCaller(), "waitUntil outside the monitor");
   AUTOSYNCH_CHECK(Depth == 1,
                   "waitUntil from a nested monitor region would deadlock");
-  std::thread::id Me = Owner.load(std::memory_order_relaxed);
+  const void *Me = Owner.load(std::memory_order_relaxed);
   // The wait releases the monitor lock; other threads own the monitor in
   // the meantime, so ownership is cleared here and restored when the wait
   // returns with the lock re-held. Depth must be restored as well: an
@@ -96,7 +78,7 @@ bool Monitor::waitUntilImpl(const Env &Locals, ParseEntry *Entry,
   // misfire the nested-region check on a later waitUntil in this region
   // (and unbalance exit()). We checked Depth == 1 above, so restoring to
   // 1 is exact.
-  Owner.store(std::thread::id(), std::memory_order_relaxed);
+  Owner.store(nullptr, std::memory_order_relaxed);
   bool Satisfied = dispatchWait(Locals, Entry, Edsl, TS);
   Owner.store(Me, std::memory_order_relaxed);
   Depth = 1;
@@ -125,17 +107,11 @@ bool Monitor::dispatchWait(const Env &Locals, ParseEntry *Entry,
   const WaitPlan *Plan;
   WaitPlan::Kind K;
   if (Edsl) {
-    // Fast path: already true (Fig. 6 checks P first). The template
-    // evaluates itself over the shared slots; only a wait that blocks
-    // looks up its plan. An unsatisfiable predicate is never true, and a
-    // check whose arithmetic wrapped reads false, so both reach the
-    // plan's exact verdict below.
-    if (Edsl->Holds(Edsl->Expr, Slots.data()))
-      return true;
-    // Slots come straight from the template's literals. A keyless wait,
-    // or a call site whose shape the planner gives up on, plans its
-    // concrete tree: a Ground plan per distinct predicate, as the parsed
-    // front end would plan it written with its values inlined.
+    // edslHolds found the predicate false before the wait got here. Slots
+    // come straight from the template's literals. A keyless wait, or a
+    // call site whose shape the planner gives up on, plans its concrete
+    // tree: a Ground plan per distinct predicate, as the parsed front end
+    // would plan it written with its values inlined.
     Slot = Edsl->Bound;
     Plan = Edsl->Keyed ? sitePlan(*Edsl) : nullptr;
     K = Plan ? Plan->kind() : WaitPlan::Kind::Legacy;

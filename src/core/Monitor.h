@@ -38,8 +38,10 @@
 /// Two predicate front ends with identical behaviour:
 ///  * the EDSL (expression templates over Shared<T>, expr/Builder.h):
 ///    local values are captured as literals — globalization done by
-///    construction. An already-true wait only evaluates the template over
-///    the shared slots: no plan lookup, no arena. The template's C++ type
+///    construction. An already-true wait is decided inline in the
+///    waitUntil template: the ownership and region-depth checks, then the
+///    template evaluated over the shared slots — no out-of-line call, no
+///    plan lookup, no arena. The template's C++ type
 ///    is the predicate's shape, so a wait that blocks finds its plan by
 ///    shape id and key (PlanCache) and fills the plan's slots straight
 ///    from the literals: the arena sees a shape once per key, and a warm
@@ -68,7 +70,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -229,7 +230,8 @@ protected:
   /// mentions another monitor's variables.
   template <edsl::ExprLike P> void waitUntil(const P &Pred) {
     EdslFrame F(*this, edsl::toNode(Pred));
-    waitUntilImpl(EmptyEnv::instance(), nullptr, &F.W, TimedSpec());
+    if (!edslHolds(F))
+      waitUntilImpl(EmptyEnv::instance(), nullptr, &F.W, TimedSpec());
   }
 
   /// Blocks until the parsed predicate \p Pred (shared variables only)
@@ -263,7 +265,8 @@ protected:
   bool waitUntilFor(const P &Pred, std::chrono::nanoseconds Timeout,
                     time::CancelToken *Token = nullptr) {
     EdslFrame F(*this, edsl::toNode(Pred));
-    return waitUntilImpl(EmptyEnv::instance(), nullptr, &F.W,
+    return edslHolds(F) ||
+           waitUntilImpl(EmptyEnv::instance(), nullptr, &F.W,
                          TimedSpec::forTimeout(Timeout, Token));
   }
 
@@ -281,7 +284,8 @@ protected:
   bool waitUntilBy(const P &Pred, time::Deadline D,
                    time::CancelToken *Token = nullptr) {
     EdslFrame F(*this, edsl::toNode(Pred));
-    return waitUntilImpl(EmptyEnv::instance(), nullptr, &F.W,
+    return edslHolds(F) ||
+           waitUntilImpl(EmptyEnv::instance(), nullptr, &F.W,
                          TimedSpec::byDeadline(D, Token));
   }
 
@@ -334,14 +338,37 @@ private:
 
   void enter();
   void exit();
+
+  /// The calling thread's identity for Owner: the address of a
+  /// thread-local byte, distinct for every live thread and computed
+  /// without a call (std::this_thread::get_id() is one).
+  static const void *callerToken() {
+    static thread_local char Token;
+    return &Token;
+  }
   bool ownedByCaller() const {
-    return Owner.load(std::memory_order_relaxed) ==
-           std::this_thread::get_id();
+    return Owner.load(std::memory_order_relaxed) == callerToken();
   }
 
   VarId declareShared(std::string_view Name, TypeKind Ty);
-  Value readSlot(VarId Id) const;
-  void writeSlot(VarId Id, Value V, bool RequireOwned);
+
+  Value readSlot(VarId Id) const {
+    AUTOSYNCH_CHECK(ownedByCaller(),
+                    "shared variable read outside the monitor");
+    return Slots[Id];
+  }
+
+  void writeSlot(VarId Id, Value V, bool RequireOwned) {
+    AUTOSYNCH_CHECK(!RequireOwned || ownedByCaller(),
+                    "shared variable write outside the monitor");
+    // A write that does not change the value cannot change any predicate:
+    // it neither dirties the relay set nor bumps the variable's version,
+    // so idempotent stores keep the read-only-exit fast path.
+    if (Slots[Id] == V)
+      return;
+    Slots[Id] = V;
+    Mgr.noteWrite(Id);
+  }
 
   /// A parse-cache entry: the interned parse plus the memoized WaitPlan
   /// for that shape (filled on first use; plans are never evicted, so the
@@ -353,10 +380,10 @@ private:
 
   ParseEntry &parseCached(std::string_view Pred);
 
-  /// An EDSL wait, type-erased for the out-of-line pipeline: its
-  /// call-site key and slot values as scanned from the template, and
-  /// callbacks over the template: Holds for the already-true check, Build
-  /// for the blocking paths that need a tree.
+  /// An EDSL wait that blocks, type-erased for the out-of-line pipeline:
+  /// its call-site key and slot values as scanned from the template, and
+  /// a callback that builds the template's tree for the paths that need
+  /// one.
   struct EdslWait {
     PlanCache::SiteKey Key;
     /// False when the shape has more literals than a plan has slots (or
@@ -369,8 +396,6 @@ private:
     /// cache is given (first use of a key), else the concrete predicate.
     ExprRef (*Build)(const void *Expr, ExprArena &A,
                      PlanCache *Slots) = nullptr;
-    /// Evaluates the predicate over the shared slots.
-    bool (*Holds)(const void *Expr, const Value *Shared) = nullptr;
   };
 
   /// Stack storage for one EDSL wait: scans \p X into its key and slot
@@ -397,7 +422,6 @@ private:
       W.NumBound = T::Slots;
       W.Expr = &Node;
       W.Build = &build;
-      W.Holds = &holds;
     }
 
     EdslFrame(const EdslFrame &) = delete;
@@ -414,11 +438,19 @@ private:
       };
       return edsl::build(X, A, Slot);
     }
-
-    static bool holds(const void *P, const Value *Shared) {
-      return edsl::holds(*static_cast<const E *>(P), Shared);
-    }
   };
+
+  /// An EDSL wait's checks and its already-true check (Fig. 6 checks P
+  /// first), inline so that a wait that does not block makes no call. The
+  /// template evaluates itself over the shared slots. An unsatisfiable
+  /// predicate is never true, and a check whose arithmetic wrapped reads
+  /// false, so both go on to the plan's exact verdict in dispatchWait.
+  template <typename E> bool edslHolds(const EdslFrame<E> &F) const {
+    AUTOSYNCH_CHECK(ownedByCaller(), "waitUntil outside the monitor");
+    AUTOSYNCH_CHECK(Depth == 1,
+                    "waitUntil from a nested monitor region would deadlock");
+    return edsl::holds(F.Node, Slots.data());
+  }
 
   /// The plan of an EDSL call site; its first use builds the skeleton.
   const WaitPlan *sitePlan(const EdslWait &W);
@@ -426,9 +458,10 @@ private:
   /// Exactly one of \p Entry (parsed) and \p Edsl is set.
   bool waitUntilImpl(const Env &Locals, ParseEntry *Entry,
                      const EdslWait *Edsl, const TimedSpec &TS);
-  /// Runs the one already-true check (an EDSL wait before any plan
-  /// lookup), then picks the plan, resolves its key, and hands the
-  /// blocking wait to the policy's entry point.
+  /// Picks the plan and resolves its key, then hands the blocking wait to
+  /// the policy's entry point. A parsed wait makes its already-true check
+  /// here, once its plan is bound; an EDSL wait has made it already
+  /// (edslHolds) and arrives only to block.
   bool dispatchWait(const Env &Locals, ParseEntry *Entry,
                     const EdslWait *Edsl, const TimedSpec &TS);
 
@@ -454,7 +487,9 @@ private:
   PlanCache Plans;
   std::unordered_map<std::string, ParseEntry, StringHash, std::equal_to<>>
       ParseCache;
-  std::atomic<std::thread::id> Owner{};
+  /// The owning thread's callerToken(), null while no thread owns the
+  /// monitor.
+  std::atomic<const void *> Owner{nullptr};
   int Depth = 0;
   /// Where a blocking keyed wait resolves its signature (under the lock;
   /// see ConditionManager::WaitKey).

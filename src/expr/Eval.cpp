@@ -7,18 +7,91 @@
 
 #include "expr/Eval.h"
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <vector>
 
 using namespace autosynch;
 
-static std::atomic<uint64_t> EvalCount{0};
+namespace {
+
+/// One thread's evaluation count. Only its own thread writes it, with a
+/// relaxed load and store (no locked read-modify-write); any thread may
+/// read it for the total.
+struct EvalCounter {
+  std::atomic<uint64_t> N{0};
+  bool Enrolled = false;
+
+  void bump() {
+    if (AUTOSYNCH_UNLIKELY(!Enrolled))
+      enroll();
+    N.store(N.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+
+  /// Adds the counter to the registry on the thread's first evaluation and
+  /// retires it when the thread exits (out of line, off the bump path).
+  AUTOSYNCH_NOINLINE void enroll();
+};
+
+/// Every live thread's counter, what exited threads counted, and the
+/// total the last reset saw.
+struct EvalRegistry {
+  std::mutex M;
+  std::vector<const EvalCounter *> Live;
+  uint64_t Retired = 0;
+  uint64_t Baseline = 0;
+
+  /// Live and retired counts; requires M.
+  uint64_t total() const {
+    uint64_t Sum = Retired;
+    for (const EvalCounter *C : Live)
+      Sum += C->N.load(std::memory_order_relaxed);
+    return Sum;
+  }
+};
+
+/// Never destroyed: threads may still exit, and retire their counts, while
+/// static destructors run.
+EvalRegistry &registry() {
+  static EvalRegistry *R = new EvalRegistry;
+  return *R;
+}
+
+/// Constant-initialized and trivially destructible, so a bump reads it
+/// with no guard beyond Enrolled.
+thread_local constinit EvalCounter MyEvals;
+
+void EvalCounter::enroll() {
+  /// Folds this thread's count into Retired when the thread exits.
+  struct Retirement {
+    ~Retirement() {
+      EvalRegistry &R = registry();
+      std::lock_guard<std::mutex> G(R.M);
+      R.Retired += MyEvals.N.load(std::memory_order_relaxed);
+      R.Live.erase(std::find(R.Live.begin(), R.Live.end(), &MyEvals));
+    }
+  };
+  static thread_local Retirement AtExit;
+  (void)AtExit;
+  EvalRegistry &R = registry();
+  std::lock_guard<std::mutex> G(R.M);
+  R.Live.push_back(this);
+  Enrolled = true;
+}
+
+} // namespace
 
 uint64_t autosynch::predicateEvalCount() {
-  return EvalCount.load(std::memory_order_relaxed);
+  EvalRegistry &R = registry();
+  std::lock_guard<std::mutex> G(R.M);
+  return R.total() - R.Baseline;
 }
 
 void autosynch::resetPredicateEvalCount() {
-  EvalCount.store(0, std::memory_order_relaxed);
+  EvalRegistry &R = registry();
+  std::lock_guard<std::mutex> G(R.M);
+  R.Baseline = R.total();
 }
 
 static int64_t wrap(uint64_t V) { return static_cast<int64_t>(V); }
@@ -101,12 +174,10 @@ static Value evalImpl(ExprRef E, const Env &Bindings) {
   }
 }
 
-void autosynch::detail::bumpPredicateEvalCount() {
-  EvalCount.fetch_add(1, std::memory_order_relaxed);
-}
+void autosynch::detail::bumpPredicateEvalCount() { MyEvals.bump(); }
 
 Value autosynch::eval(ExprRef E, const Env &Bindings) {
-  EvalCount.fetch_add(1, std::memory_order_relaxed);
+  MyEvals.bump();
   return evalImpl(E, Bindings);
 }
 

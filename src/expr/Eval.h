@@ -36,11 +36,16 @@ bool evalBool(ExprRef E, const Env &Bindings);
 /// Evaluates an int-typed expression. Fatal error on a bool-typed \p E.
 int64_t evalInt(ExprRef E, const Env &Bindings);
 
-/// Process-wide count of eval() calls on predicate roots; the benches use
-/// this to report predicate-evaluation workloads. Updated with relaxed
-/// atomics. Compiled-predicate executions (expr/Bytecode.h) count too, so
-/// the number means "predicate evaluations" regardless of evaluator.
+/// Process-wide count of eval() calls on predicate roots since the last
+/// resetPredicateEvalCount(); the benches use this to report
+/// predicate-evaluation workloads. Each thread counts into its own
+/// counter (a plain store, no locked instruction) and the read sums every
+/// live thread's count with those of threads that have exited.
+/// Compiled-predicate executions (expr/Bytecode.h) count too, so the
+/// number means "predicate evaluations" regardless of evaluator.
 uint64_t predicateEvalCount();
+/// Makes predicateEvalCount() count from now; other threads' counters are
+/// left alone.
 void resetPredicateEvalCount();
 
 namespace detail {

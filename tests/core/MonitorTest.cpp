@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -204,6 +206,83 @@ TEST(MonitorTest, SharedVariableAccessOutsideMonitorIsFatal) {
   Leaky M;
   EXPECT_DEATH((void)M.Count.get(), "outside the monitor");
   EXPECT_DEATH(M.Count.set(1), "outside the monitor");
+}
+
+TEST(MonitorTest, SharedAccessWhileAnotherThreadOwnsIsFatal) {
+  // The ownership check must tell threads apart, not just see that some
+  // thread owns the monitor: thread A holds a region while this thread
+  // touches a shared variable.
+  class Held : public Monitor {
+  public:
+    Shared<int64_t> Count{*this, "count", 0};
+  };
+  auto WhileOwnedElsewhere = [](auto Access) {
+    Held M;
+    std::atomic<bool> Entered{false}, Release{false};
+    std::thread A([&] {
+      Monitor::Region R(M);
+      Entered = true;
+      while (!Release)
+        std::this_thread::yield();
+    });
+    while (!Entered)
+      std::this_thread::yield();
+    Access(M); // Dies; the rest only runs if the check is missing.
+    Release = true;
+    A.join();
+  };
+  EXPECT_DEATH(WhileOwnedElsewhere([](Held &M) { (void)M.Count.get(); }),
+               "outside the monitor");
+  EXPECT_DEATH(WhileOwnedElsewhere([](Held &M) { M.Count.set(1); }),
+               "outside the monitor");
+}
+
+TEST(MonitorTest, AlreadyTrueWaitsStillCheckOwnershipAndDepth) {
+  // The already-true check runs inline in the EDSL templates; it must not
+  // skip the checks every wait makes first, even when `count >= 0` holds.
+  class AlwaysTrue : public Monitor {
+  public:
+    enum class Front { Edsl, EdslFor, EdslBy, Parsed };
+
+    void wait(Front F) {
+      switch (F) {
+      case Front::Edsl:
+        waitUntil(Count >= 0);
+        break;
+      case Front::EdslFor:
+        (void)waitUntilFor(Count >= 0, std::chrono::seconds(1));
+        break;
+      case Front::EdslBy:
+        (void)waitUntilBy(Count >= 0, time::Deadline::never());
+        break;
+      case Front::Parsed:
+        waitUntil("count >= 0");
+        break;
+      }
+    }
+
+    void waitNested(Front F) {
+      Region Outer(*this);
+      Region Inner(*this);
+      wait(F);
+    }
+
+    void waitInRegion(Front F) {
+      Region R(*this);
+      wait(F);
+    }
+
+  private:
+    Shared<int64_t> Count{*this, "count", 0};
+  };
+  using Front = AlwaysTrue::Front;
+  for (Front F : {Front::Edsl, Front::EdslFor, Front::EdslBy, Front::Parsed}) {
+    SCOPED_TRACE(static_cast<int>(F));
+    AlwaysTrue M;
+    M.waitInRegion(F); // Returns: the predicate holds.
+    EXPECT_DEATH(M.wait(F), "waitUntil outside the monitor");
+    EXPECT_DEATH(M.waitNested(F), "nested monitor region");
+  }
 }
 
 TEST(MonitorTest, SharedBoolVariables) {

@@ -10,6 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+#include <utility>
+#include <vector>
+
 using namespace autosynch;
 using testutil::Vars;
 
@@ -105,6 +110,58 @@ TEST_F(EvalTest, EvalCountAdvances) {
   eval(x(), Env);
   eval(x(), Env);
   EXPECT_EQ(predicateEvalCount(), 2u);
+}
+
+TEST_F(EvalTest, EvalCountSumsAcrossThreads) {
+  // Each thread counts into its own counter: the total must see every
+  // live thread's count, keep it once the thread has exited, and a reset
+  // must drop exactly what was counted before it.
+  constexpr int Threads = 4;
+  constexpr uint64_t PerThread = 1000;
+  ExprRef E = x();
+  auto Round = [&](uint64_t EvalsBefore, uint64_t EvalsAfter,
+                   auto AtMidpoint) {
+    std::latch Counted(Threads), Resume(1), Finished(Threads), Exit(1);
+    std::vector<std::thread> Workers;
+    for (int T = 0; T != Threads; ++T)
+      Workers.emplace_back([&] {
+        for (uint64_t I = 0; I != EvalsBefore; ++I)
+          eval(E, Env);
+        Counted.count_down();
+        Resume.wait();
+        for (uint64_t I = 0; I != EvalsAfter; ++I)
+          eval(E, Env);
+        Finished.count_down();
+        Exit.wait();
+      });
+    Counted.wait();
+    AtMidpoint();
+    Resume.count_down();
+    Finished.wait();
+    uint64_t Parked = predicateEvalCount(); // Threads still alive.
+    Exit.count_down();
+    for (std::thread &W : Workers)
+      W.join();
+    return std::make_pair(Parked, predicateEvalCount());
+  };
+
+  // No reset: +4000 while the threads are parked, still +4000 once
+  // their counters have been retired.
+  uint64_t Before = predicateEvalCount();
+  auto [Parked, Joined] = Round(PerThread / 2, PerThread / 2, [] {});
+  EXPECT_EQ(Parked - Before, Threads * PerThread);
+  EXPECT_EQ(Joined - Before, Threads * PerThread);
+
+  // A reset taken mid-way, while the threads are parked between their two
+  // halves, subtracts the first half (and everything before it) only.
+  uint64_t AtReset = ~uint64_t(0);
+  auto [ParkedR, JoinedR] = Round(300, PerThread - 300, [&] {
+    resetPredicateEvalCount();
+    AtReset = predicateEvalCount();
+  });
+  EXPECT_EQ(AtReset, 0u);
+  EXPECT_EQ(ParkedR, Threads * (PerThread - 300));
+  EXPECT_EQ(JoinedR, Threads * (PerThread - 300));
 }
 
 } // namespace
