@@ -40,8 +40,8 @@
 ///    local values are captured as literals — globalization done by
 ///    construction. An already-true wait is decided inline in the
 ///    waitUntil template: the ownership and region-depth checks, then the
-///    template evaluated over the shared slots — no out-of-line call, no
-///    plan lookup, no arena. The template's C++ type
+///    template evaluated over the shared slots — no call into the wait
+///    pipeline, no plan lookup, no arena. The template's C++ type
 ///    is the predicate's shape, so a wait that blocks finds its plan by
 ///    shape id and key (PlanCache) and fills the plan's slots straight
 ///    from the literals: the arena sees a shape once per key, and a warm
@@ -441,10 +441,11 @@ private:
   };
 
   /// An EDSL wait's checks and its already-true check (Fig. 6 checks P
-  /// first), inline so that a wait that does not block makes no call. The
-  /// template evaluates itself over the shared slots. An unsatisfiable
-  /// predicate is never true, and a check whose arithmetic wrapped reads
-  /// false, so both go on to the plan's exact verdict in dispatchWait.
+  /// first), inline so that a wait that does not block never calls into
+  /// the wait pipeline. The template evaluates itself over the shared
+  /// slots. An unsatisfiable predicate is never true, and a check whose
+  /// arithmetic wrapped reads false, so both go on to the plan's exact
+  /// verdict in dispatchWait.
   template <typename E> bool edslHolds(const EdslFrame<E> &F) const {
     AUTOSYNCH_CHECK(ownedByCaller(), "waitUntil outside the monitor");
     AUTOSYNCH_CHECK(Depth == 1,
