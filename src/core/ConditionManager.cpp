@@ -14,8 +14,6 @@
 #include "sync/Counters.h"
 #include "time/Deadline.h"
 
-#include <bit>
-
 using namespace autosynch;
 
 const char *autosynch::signalPolicyName(SignalPolicy P) {
@@ -41,17 +39,16 @@ ConditionManager::ConditionManager(sync::Mutex &MonitorLock,
     BroadcastCond = MonitorLock.newCondition();
 }
 
-size_t ConditionManager::SigHash::operator()(const SigView &V) const {
-  // FNV-1a over the entry fields.
+size_t ConditionManager::hashSignature(const SigEntry *Sig, size_t N) {
   uint64_t H = 1469598103934665603ull;
   auto Mix = [&H](uint64_t X) {
     H ^= X;
     H *= 1099511628211ull;
   };
-  for (size_t I = 0; I != V.N; ++I) {
-    Mix(reinterpret_cast<uintptr_t>(V.P[I].P));
-    Mix(V.P[I].Kind);
-    Mix(static_cast<uint64_t>(V.P[I].K));
+  for (size_t I = 0; I != N; ++I) {
+    Mix(reinterpret_cast<uintptr_t>(Sig[I].P));
+    Mix(Sig[I].Kind);
+    Mix(static_cast<uint64_t>(Sig[I].K));
   }
   return static_cast<size_t>(H);
 }
@@ -88,33 +85,10 @@ private:
 // Predicate evaluation
 //===----------------------------------------------------------------------===//
 
-uint64_t ConditionManager::readSetVersion(const VarSet &S) const {
-  if (S.universal())
-    return GlobalVersion;
-  uint64_t V = 0;
-  for (uint64_t M = S.mask(); M != 0; M &= M - 1) {
-    auto B = static_cast<size_t>(std::countr_zero(M));
-    if (B < SlotVersions.size() && SlotVersions[B] > V)
-      V = SlotVersions[B];
-  }
-  return V;
-}
-
 bool ConditionManager::recordTrue(Record *R) {
-  // Predicates are pure functions of the shared slots, so an unchanged
-  // read-set version means an unchanged truth value: a current false-stamp
-  // answers without touching the bytecode.
-  uint64_t Ver = readSetVersion(R->ReadSet);
-  if (R->StampValid && R->FalseVersion == Ver) {
-    ++Stats.StampShortCircuits;
-    return false;
-  }
   // The slot program reads the monitor's shared state straight out of the
   // backing array — no virtual Env dispatch on the relay hot path.
-  bool True = R->Code.runRawBool(Slots.data(), nullptr);
-  R->StampValid = !True;
-  R->FalseVersion = Ver;
-  return True;
+  return R->Code.runRawBool(Slots.data(), nullptr);
 }
 
 //===----------------------------------------------------------------------===//
@@ -124,10 +98,11 @@ bool ConditionManager::recordTrue(Record *R) {
 ConditionManager::Record *
 ConditionManager::lookupOrRegister(const SigEntry *Sig, size_t N,
                                    bool &Hit) {
-  auto It = Table.find(SigView{Sig, N});
+  size_t Hash = hashSignature(Sig, N);
+  auto It = Table.find(SigView{Sig, N, Hash});
   Hit = It != Table.end();
   if (!Hit)
-    return registerRecord(Sig, N);
+    return registerRecord(Sig, N, Hash);
   Record *R = It->second.get();
   if (!R->Active)
     ++Stats.CacheReuses;
@@ -135,7 +110,8 @@ ConditionManager::lookupOrRegister(const SigEntry *Sig, size_t N,
 }
 
 ConditionManager::Record *
-ConditionManager::registerRecord(const SigEntry *Sig, size_t N) {
+ConditionManager::registerRecord(const SigEntry *Sig, size_t N,
+                                 size_t Hash) {
   ++Stats.Registrations;
   std::unique_ptr<Record> Fresh;
   Record *R;
@@ -143,8 +119,6 @@ ConditionManager::registerRecord(const SigEntry *Sig, size_t N) {
     // Evicted records come back with their waiter/signal counts at zero
     // (eviction checks it) and out of every list and index.
     R = Spare.back().mapped().get();
-    R->StampValid = false;
-    R->FalseVersion = 0;
     R->ReadSet.clear();
   } else {
     Fresh = std::make_unique<Record>();
@@ -154,6 +128,7 @@ ConditionManager::registerRecord(const SigEntry *Sig, size_t N) {
   // Everything else comes straight from the entries: no expression is
   // built, nothing is interned or canonicalized again.
   R->Sig.assign(Sig, Sig + N);
+  R->Hash = Hash;
   deriveTags(Sig, N, Syms, R->Tags);
   for (size_t I = 0; I != N; ++I)
     if (!Sig[I].isSeparator())
@@ -167,7 +142,7 @@ ConditionManager::registerRecord(const SigEntry *Sig, size_t N) {
       },
       R->Code);
 
-  SigView Key{R->Sig.data(), N};
+  SigView Key{R->Sig.data(), N, Hash};
   if (Fresh) {
     Table.emplace(Key, std::move(Fresh));
   } else {
@@ -182,20 +157,22 @@ ConditionManager::registerRecord(const SigEntry *Sig, size_t N) {
 }
 
 void ConditionManager::park(Record *R) {
-  R->LastUse = ++UseTick;
-  if (!R->InQueue) {
-    InactiveQueue.push_back(R);
-    R->InQueue = true;
-  }
+  R->ParkedPrev = ParkedTail;
+  R->ParkedNext = nullptr;
+  (ParkedTail ? ParkedTail->ParkedNext : ParkedHead) = R;
+  ParkedTail = R;
+}
+
+void ConditionManager::unpark(Record *R) {
+  (R->ParkedPrev ? R->ParkedPrev->ParkedNext : ParkedHead) = R->ParkedNext;
+  (R->ParkedNext ? R->ParkedNext->ParkedPrev : ParkedTail) = R->ParkedPrev;
+  R->ParkedPrev = R->ParkedNext = nullptr;
 }
 
 void ConditionManager::activate(Record *R) {
   if (R->Active)
     return;
-  // Revival invalidates the false-stamp: cheap (one eval on the next
-  // check), and it keeps "stamps are only trusted on records that stayed
-  // active" a local invariant instead of a whole-lifecycle proof.
-  R->StampValid = false;
+  unpark(R);
   PhaseClock Clock(Stats.TagNs);
   if (Cfg.Policy == SignalPolicy::Tagged)
     for (const Tag &T : R->Tags)
@@ -233,21 +210,17 @@ void ConditionManager::deactivate(Record *R) {
 }
 
 void ConditionManager::evictIfNeeded() {
-  // Oldest-first eviction. A queue entry is stale when its record was
-  // revived after parking; such records are skipped (they re-enter the
-  // queue when they park again).
-  while (Table.size() - ActiveCount > Cfg.InactiveCacheLimit &&
-         !InactiveQueue.empty()) {
-    Record *R = InactiveQueue.front();
-    InactiveQueue.pop_front();
-    R->InQueue = false;
-    if (R->Active)
-      continue; // Revived while queued.
-    AUTOSYNCH_CHECK(R->Waiters == 0 && R->PendingSignals == 0,
+  // Least recently parked first. The parked list holds exactly the
+  // table's inactive records.
+  while (Table.size() - ActiveCount > Cfg.InactiveCacheLimit) {
+    Record *R = ParkedHead;
+    AUTOSYNCH_CHECK(R && !R->Active && R->Waiters == 0 &&
+                        R->PendingSignals == 0,
                     "evicting a record in use");
+    unpark(R);
     // Keep the record, condvar included, never destroy it here: a
     // deferred exit-wakeup may still be signaling it (see Spare).
-    auto Node = Table.extract(SigView{R->Sig.data(), R->Sig.size()});
+    auto Node = Table.extract(SigView{R->Sig.data(), R->Sig.size(), R->Hash});
     AUTOSYNCH_CHECK(!Node.empty() && Node.mapped().get() == R,
                     "evicted record missing from the table");
     Spare.push_back(std::move(Node));
@@ -293,10 +266,12 @@ ConditionManager::taggedFindTrue(const VarSet &Dirty) {
       [&](Record *R) { return recordTrue(R); }, &Stats.Search, &Dirty);
 }
 
-void ConditionManager::relaySignal(DeferredWake *Defer) {
+void ConditionManager::relayTimed(DeferredWake *Defer) {
   PhaseClock Clock(Stats.RelayNs);
-  ++Stats.RelayCalls;
+  relay(Defer);
+}
 
+void ConditionManager::relaySearch(DeferredWake *Defer) {
   if (Cfg.Policy == SignalPolicy::Broadcast) {
     // Baseline: wake everyone; each waiter re-checks its own record.
     // Deliberately unfiltered — the baseline's behavior is a paper
@@ -310,23 +285,6 @@ void ConditionManager::relaySignal(DeferredWake *Defer) {
       }
       ++Stats.BroadcastSignals;
     }
-    return;
-  }
-
-  // A signaled thread that has not resumed yet is active (Definition 3);
-  // relay invariance already holds, and that thread will re-relay if its
-  // predicate has been falsified in the meantime. The dirty set is left
-  // untouched: the in-flight thread's relay must still see these writes.
-  if (PendingTotal > 0) {
-    ++Stats.RelaySkips;
-    return;
-  }
-
-  if (AccumDirty.empty()) {
-    // Nothing changed since the last empty-handed scan proved every
-    // active predicate false — the read-only-exit fast path: no shared-
-    // expression evaluation, no predicate check, no heap visit.
-    ++Stats.RelayDirtySkips;
     return;
   }
 

@@ -24,15 +24,14 @@
 ///
 /// Dirty-set-directed relays: Monitor::writeSlot reports every
 /// value-changing shared write to noteWrite(), which accumulates the
-/// written VarIds in a dirty set and bumps a per-variable version counter.
-/// The invariant dirty-set relays rest on:
+/// written VarIds in a dirty set. The invariant dirty-set relays rest on:
 ///
 ///   every active (waiter-holding) predicate whose read set does not
 ///   intersect the accumulated dirty set is false.
 ///
 /// It holds because a scan that returns empty-handed has just (re-)proven
 /// every active predicate false — only then is the dirty set cleared — and
-/// a predicate over unchanged variables cannot change truth value. Three
+/// a predicate over unchanged variables cannot change truth value. Two
 /// consequences shape the code:
 ///
 ///  * A relay with an empty dirty set skips the search outright (the
@@ -45,17 +44,15 @@
 ///    not clear or consume the set — the in-flight thread's later relay
 ///    inherits the accumulated dirt, so no write is ever dropped on the
 ///    floor between two scans.
-///  * Version stamps piggyback on the same counters: recordTrue() stamps a
-///    record with the newest version among its read set whenever it
-///    evaluates false, and later checks answer "still false" without
-///    running the bytecode while that stamp is current
-///    (Stats.StampShortCircuits). Stamps are discarded on (re)activation
-///    and on re-registration of a recycled record, so cache churn can
-///    never resurrect a stale proof.
+///
+/// A record the search does reach is checked by running its slot program
+/// over the shared state: there is no cache of earlier verdicts.
 ///
 /// All member functions require the monitor lock to be held by the caller
-/// (the Monitor wrapper enforces this); the dirty set, version counters,
-/// and stamps are all guarded by that lock.
+/// (the Monitor wrapper enforces this); the dirty set is guarded by that
+/// lock. The relay's two skips that need no search (a signal in flight,
+/// an empty dirty set) are inline, so a section that changes nothing pays
+/// no call for its exit relay.
 ///
 /// One wait path for every policy: await() binds (or registers) a record
 /// and blocks in waitOnRecord(), which re-checks the record's compiled
@@ -96,6 +93,7 @@
 #include "expr/SigEntry.h"
 #include "expr/SymbolTable.h"
 #include "expr/VarSet.h"
+#include "support/Compiler.h"
 #include "sync/Counters.h"
 #include "sync/Mutex.h"
 #include "tag/TagIndex.h"
@@ -104,7 +102,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -124,8 +121,9 @@ struct ManagerStats {
   uint64_t RelayDirtySkips = 0; ///< Relays skipped: empty dirty set (no
                                 ///< shared variable changed since the last
                                 ///< empty-handed scan).
-  uint64_t StampShortCircuits = 0; ///< recordTrue() answers proven by the
-                                   ///< version stamp without evaluating.
+  uint64_t StampShortCircuits = 0; ///< Always 0: there are no version
+                                   ///< stamps any more. Kept because
+                                   ///< perfbench/ reads it.
   uint64_t SignalsSent = 0;   ///< Directed signals issued.
   uint64_t BroadcastSignals = 0; ///< signalAll calls (Broadcast policy).
   uint64_t TimedWaits = 0;    ///< Timed waits that reached the blocking
@@ -260,8 +258,16 @@ public:
   /// With \p Defer null the winning record is signaled immediately (the
   /// pre-block relay, where the caller is about to release the lock by
   /// waiting anyway); otherwise the pick is recorded in \p Defer and the
-  /// caller fires it after releasing the monitor lock.
-  void relaySignal(DeferredWake *Defer = nullptr);
+  /// caller fires it after releasing the monitor lock. While the sync
+  /// layer's timing switch is on, the whole relay is timed into
+  /// Stats.RelayNs.
+  void relaySignal(DeferredWake *Defer = nullptr) {
+    if (AUTOSYNCH_UNLIKELY(sync::Counters::global().timingEnabled())) {
+      relayTimed(Defer);
+      return;
+    }
+    relay(Defer);
+  }
 
   /// Eagerly registers \p Pred (no waiting), mirroring the paper's
   /// constructor-time registration of static shared predicates (Fig. 5).
@@ -270,16 +276,8 @@ public:
   void registerPredicate(ExprRef Pred);
 
   /// Records that shared variable \p Id changed value: unions it into the
-  /// relay dirty set and bumps its version counter. Called by
-  /// Monitor::writeSlot under the monitor lock. Every policy keeps the
-  /// versions: they date the records' false-stamps.
-  void noteWrite(VarId Id) {
-    ++GlobalVersion;
-    if (Id >= SlotVersions.size())
-      SlotVersions.resize(Id + 1, 0);
-    SlotVersions[Id] = GlobalVersion;
-    AccumDirty.add(Id);
-  }
+  /// relay dirty set. Called by Monitor::writeSlot under the monitor lock.
+  void noteWrite(VarId Id) { AccumDirty.add(Id); }
 
   //===--------------------------------------------------------------------===//
   // Introspection
@@ -309,24 +307,20 @@ private:
     /// The predicate's finished signature: its identity, and the storage
     /// the table's key views.
     std::vector<SigEntry> Sig;
+    /// hashSignature(Sig): the table key's hash, computed once.
+    size_t Hash = 0;
     std::vector<Tag> Tags;
     std::unique_ptr<sync::Condition> Cond;
     CompiledPredicate Code;
     /// Shared variables the predicate reads; intersected with the dirty
     /// set to prune the relay search.
     VarSet ReadSet;
-    /// Version-stamp of the last false evaluation: while no read-set
-    /// variable has a newer version, the predicate is still false and
-    /// recordTrue() answers without running the bytecode. Invalidated on
-    /// activation (StampValid = false).
-    uint64_t FalseVersion = 0;
-    bool StampValid = false;
     int Waiters = 0;
     int PendingSignals = 0;
     bool Active = false;
-    /// Whether the record has an entry in InactiveQueue (at most one).
-    bool InQueue = false;
-    uint64_t LastUse = 0;
+    /// Intrusive links of the parked list (valid while !Active).
+    Record *ParkedPrev = nullptr;
+    Record *ParkedNext = nullptr;
     /// Intrusive position in ActiveList (InvalidPos when inactive); no
     /// side-table hashing on activate/deactivate.
     size_t ActiveIdx = InvalidPos;
@@ -334,13 +328,14 @@ private:
     size_t NoneIdx = InvalidPos;
   };
 
-  /// A table key: a view of the owning record's Sig.
+  /// A table key: a view of the owning record's Sig, with its hash.
   struct SigView {
     const SigEntry *P;
     size_t N;
+    size_t Hash;
   };
   struct SigHash {
-    size_t operator()(const SigView &V) const;
+    size_t operator()(const SigView &V) const { return V.Hash; }
   };
   struct SigEq {
     bool operator()(const SigView &A, const SigView &B) const {
@@ -350,16 +345,23 @@ private:
   using RecordTable =
       std::unordered_map<SigView, std::unique_ptr<Record>, SigHash, SigEq>;
 
-  /// Parks \p R in the inactive queue for reuse or eventual eviction.
+  /// FNV-1a over a signature's entries.
+  static size_t hashSignature(const SigEntry *Sig, size_t N);
+
+  /// Appends \p R (inactive, not parked) to the parked list: kept for
+  /// reuse, evicted when it reaches the head.
   void park(Record *R);
+  /// Takes parked \p R off the parked list.
+  void unpark(Record *R);
 
   /// The record keyed by signature \p Sig (\p N entries), registered on a
   /// miss; \p Hit tells which. A hit on a parked record counts as a
   /// cache reuse.
   Record *lookupOrRegister(const SigEntry *Sig, size_t N, bool &Hit);
-  /// Registers the predicate \p Sig denotes (absent from the table): a
-  /// recycled record when one is spare. Starts parked.
-  Record *registerRecord(const SigEntry *Sig, size_t N);
+  /// Registers the predicate \p Sig denotes (absent from the table;
+  /// \p Hash is its hashSignature): a recycled record when one is spare.
+  /// Starts parked.
+  Record *registerRecord(const SigEntry *Sig, size_t N, size_t Hash);
   void activate(Record *R);
   void deactivate(Record *R);
   void evictIfNeeded();
@@ -370,12 +372,38 @@ private:
   /// timed wait that left unsatisfied.
   bool waitOnRecord(Record *R, TimedWait *TW);
 
-  /// Full predicate check under the current shared state, answered by the
-  /// false-stamp when it is still current.
+  /// Full predicate check under the current shared state.
   bool recordTrue(Record *R);
 
-  /// Newest version among \p S's variables (the stamp domain).
-  uint64_t readSetVersion(const VarSet &S) const;
+  /// relaySignal() untimed. The skips that need no search are inline; the
+  /// Broadcast signal and the search are not.
+  void relay(DeferredWake *Defer) {
+    ++Stats.RelayCalls;
+    if (Cfg.Policy != SignalPolicy::Broadcast) {
+      // A signaled thread that has not resumed yet is active (Definition
+      // 3); relay invariance already holds, and that thread will re-relay
+      // if its predicate has been falsified in the meantime. The dirty
+      // set is left untouched: the in-flight thread's relay must still
+      // see these writes.
+      if (PendingTotal > 0) {
+        ++Stats.RelaySkips;
+        return;
+      }
+      // Nothing changed since the last empty-handed scan proved every
+      // active predicate false — the read-only-exit fast path: no shared-
+      // expression evaluation, no predicate check, no heap visit.
+      if (AccumDirty.empty()) {
+        ++Stats.RelayDirtySkips;
+        return;
+      }
+    }
+    relaySearch(Defer);
+  }
+  /// relay() timed into Stats.RelayNs (Table 1).
+  void relayTimed(DeferredWake *Defer);
+  /// The Broadcast policy's signalAll, or the relay policies' search for
+  /// a true record and its signal.
+  void relaySearch(DeferredWake *Defer);
 
   /// Relay search under the LinearScan policy: evaluate active predicates
   /// one by one, skipping those \p Dirty proves unchanged-false.
@@ -415,9 +443,12 @@ private:
   std::vector<Record *> ActiveList;
   size_t ActiveCount = 0;
 
-  /// Inactive cache in parking order. Each record appears at most once
-  /// (Record::InQueue); revived records are skipped lazily on eviction.
-  std::deque<Record *> InactiveQueue;
+  /// The inactive cache in parking order, oldest first: an intrusive list
+  /// through the records (Record::ParkedPrev/ParkedNext), so parking and
+  /// reviving allocate nothing. It holds exactly the table's inactive
+  /// records.
+  Record *ParkedHead = nullptr;
+  Record *ParkedTail = nullptr;
 
   /// The one condition every Broadcast waiter blocks on.
   std::unique_ptr<sync::Condition> BroadcastCond;
@@ -425,15 +456,10 @@ private:
   /// Threads blocked in waitOnRecord, counted from their first block.
   int TotalWaiters = 0;
   int PendingTotal = 0;
-  uint64_t UseTick = 0;
 
-  /// Dirty-set relay state (all guarded by the monitor lock): variables
-  /// written since the last empty-handed relay scan, the global write
-  /// tick, and per-variable last-write versions (indexed by VarId, grown
-  /// lazily). See the file comment for the invariant.
+  /// Variables written since the last empty-handed relay scan (guarded by
+  /// the monitor lock). See the file comment for the invariant.
   VarSet AccumDirty;
-  uint64_t GlobalVersion = 0;
-  std::vector<uint64_t> SlotVersions;
 
   ManagerStats Stats;
 };

@@ -31,37 +31,6 @@ VarId Monitor::declareShared(std::string_view Name, TypeKind Ty) {
 }
 
 //===----------------------------------------------------------------------===//
-// Mutual exclusion (reentrant monitor regions)
-//===----------------------------------------------------------------------===//
-
-void Monitor::enter() {
-  const void *Me = callerToken();
-  if (Owner.load(std::memory_order_relaxed) == Me) {
-    ++Depth;
-    return;
-  }
-  Lock.lock();
-  Owner.store(Me, std::memory_order_relaxed);
-  Depth = 1;
-}
-
-void Monitor::exit() {
-  AUTOSYNCH_CHECK(ownedByCaller(), "monitor exit by a non-owning thread");
-  if (--Depth > 0)
-    return;
-  // Relay signaling rule: on exit, hand the monitor to some thread whose
-  // condition has become true (paper §4.2). The winner is picked (and all
-  // bookkeeping done) under the lock, but the condvar wakeup fires only
-  // after the unlock — otherwise the woken thread would immediately block
-  // on the mutex this thread still holds (the wake-then-block convoy).
-  DeferredWake Wake;
-  Mgr.relaySignal(&Wake);
-  Owner.store(nullptr, std::memory_order_relaxed);
-  Lock.unlock();
-  Wake.fire();
-}
-
-//===----------------------------------------------------------------------===//
 // waituntil
 //===----------------------------------------------------------------------===//
 

@@ -336,9 +336,6 @@ protected:
 private:
   template <typename> friend class Shared;
 
-  void enter();
-  void exit();
-
   /// The calling thread's identity for Owner: the address of a
   /// thread-local byte, distinct for every live thread and computed
   /// without a call (std::this_thread::get_id() is one).
@@ -348,6 +345,36 @@ private:
   }
   bool ownedByCaller() const {
     return Owner.load(std::memory_order_relaxed) == callerToken();
+  }
+
+  /// Acquires the monitor (reentrant for the owning thread).
+  void enter() {
+    const void *Me = callerToken();
+    if (Owner.load(std::memory_order_relaxed) == Me) {
+      ++Depth;
+      return;
+    }
+    Lock.lock();
+    Owner.store(Me, std::memory_order_relaxed);
+    Depth = 1;
+  }
+
+  /// Leaves the monitor; the outermost exit relays and unlocks.
+  void exit() {
+    AUTOSYNCH_CHECK(ownedByCaller(), "monitor exit by a non-owning thread");
+    if (--Depth > 0)
+      return;
+    // Relay signaling rule: on exit, hand the monitor to some thread whose
+    // condition has become true (paper §4.2). The winner is picked (and
+    // all bookkeeping done) under the lock, but the condvar wakeup fires
+    // only after the unlock — otherwise the woken thread would immediately
+    // block on the mutex this thread still holds (the wake-then-block
+    // convoy).
+    DeferredWake Wake;
+    Mgr.relaySignal(&Wake);
+    Owner.store(nullptr, std::memory_order_relaxed);
+    Lock.unlock();
+    Wake.fire();
   }
 
   VarId declareShared(std::string_view Name, TypeKind Ty);
@@ -362,8 +389,8 @@ private:
     AUTOSYNCH_CHECK(!RequireOwned || ownedByCaller(),
                     "shared variable write outside the monitor");
     // A write that does not change the value cannot change any predicate:
-    // it neither dirties the relay set nor bumps the variable's version,
-    // so idempotent stores keep the read-only-exit fast path.
+    // it does not dirty the relay set, so idempotent stores keep the
+    // read-only-exit fast path.
     if (Slots[Id] == V)
       return;
     Slots[Id] = V;

@@ -18,6 +18,7 @@
 
 #include "expr/Env.h"
 #include "expr/Expr.h"
+#include "support/ThreadCounters.h"
 
 #include <cstdint>
 
@@ -39,8 +40,9 @@ int64_t evalInt(ExprRef E, const Env &Bindings);
 /// Process-wide count of eval() calls on predicate roots since the last
 /// resetPredicateEvalCount(); the benches use this to report
 /// predicate-evaluation workloads. Each thread counts into its own
-/// counter (a plain store, no locked instruction) and the read sums every
-/// live thread's count with those of threads that have exited.
+/// counter (support/ThreadCounters.h: a plain store, no locked
+/// instruction) and the read sums every live thread's count with those of
+/// threads that have exited.
 /// Compiled-predicate executions (expr/Bytecode.h) count too, so the
 /// number means "predicate evaluations" regardless of evaluator.
 uint64_t predicateEvalCount();
@@ -49,9 +51,13 @@ uint64_t predicateEvalCount();
 void resetPredicateEvalCount();
 
 namespace detail {
-/// Bumps the predicateEvalCount() counter; the bytecode VM calls this on
-/// every program execution so both evaluators feed one statistic.
-void bumpPredicateEvalCount();
+struct PredicateEvalTag;
+using PredicateEvalCounter = ThreadCounters<PredicateEvalTag, 1>;
+
+/// Bumps the predicateEvalCount() counter; the bytecode VM and the EDSL's
+/// inline check call this on every run so every evaluator feeds one
+/// statistic.
+inline void bumpPredicateEvalCount() { PredicateEvalCounter::bump(0); }
 } // namespace detail
 
 } // namespace autosynch

@@ -37,9 +37,9 @@
 #define AUTOSYNCH_PLAN_PLANCACHE_H
 
 #include "plan/WaitPlan.h"
+#include "support/ThreadCounters.h"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_map>
 
 namespace autosynch {
@@ -66,33 +66,37 @@ struct PlanCountersSnapshot {
   }
 };
 
-/// Process-wide plan counters, updated with relaxed atomics (aggregates
-/// across every monitor in the process; the per-monitor numbers live in
-/// PlanCacheStats / ManagerStats).
+/// Process-wide plan counters: aggregates across every monitor in the
+/// process, counted per thread (support/ThreadCounters.h) so a count is a
+/// plain store with no locked instruction. The per-monitor numbers live
+/// in PlanCacheStats / ManagerStats.
 class PlanCounters {
 public:
   static PlanCounters &global();
 
-  void onShapeBuild() { ShapeBuilds.fetch_add(1, std::memory_order_relaxed); }
-  void onShapeHit() { ShapeHits.fetch_add(1, std::memory_order_relaxed); }
-  void onBindHit() { BindHits.fetch_add(1, std::memory_order_relaxed); }
-  void onColdBind() { ColdBinds.fetch_add(1, std::memory_order_relaxed); }
-  void onLegacyWait() { LegacyWaits.fetch_add(1, std::memory_order_relaxed); }
+  void onShapeBuild() { Events::bump(ShapeBuildsIdx); }
+  void onShapeHit() { Events::bump(ShapeHitsIdx); }
+  void onBindHit() { Events::bump(BindHitsIdx); }
+  void onColdBind() { Events::bump(ColdBindsIdx); }
+  void onLegacyWait() { Events::bump(LegacyWaitsIdx); }
 
+  /// Counts of live and exited threads alike.
   PlanCountersSnapshot snapshot() const {
-    return {ShapeBuilds.load(std::memory_order_relaxed),
-            ShapeHits.load(std::memory_order_relaxed),
-            BindHits.load(std::memory_order_relaxed),
-            ColdBinds.load(std::memory_order_relaxed),
-            LegacyWaits.load(std::memory_order_relaxed)};
+    Events::Totals E = Events::read();
+    return {E[ShapeBuildsIdx], E[ShapeHitsIdx], E[BindHitsIdx],
+            E[ColdBindsIdx], E[LegacyWaitsIdx]};
   }
 
 private:
-  std::atomic<uint64_t> ShapeBuilds{0};
-  std::atomic<uint64_t> ShapeHits{0};
-  std::atomic<uint64_t> BindHits{0};
-  std::atomic<uint64_t> ColdBinds{0};
-  std::atomic<uint64_t> LegacyWaits{0};
+  enum : size_t {
+    ShapeBuildsIdx,
+    ShapeHitsIdx,
+    BindHitsIdx,
+    ColdBindsIdx,
+    LegacyWaitsIdx,
+    NumEvents
+  };
+  using Events = ThreadCounters<PlanCounters, NumEvents>;
 };
 
 /// The per-monitor shape -> WaitPlan cache. All member functions require

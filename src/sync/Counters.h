@@ -12,10 +12,17 @@
 /// benches and tests read these to verify, e.g., that the AutoSynch policies
 /// never call signalAll (relay invariance, §4.2).
 ///
+/// The four event counts are counted per thread (support/ThreadCounters.h):
+/// a count is a relaxed load and store to the counting thread's own slot,
+/// with no locked instruction, so they stay on. The two timing totals,
+/// which count only while timing is switched on, are relaxed atomics.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AUTOSYNCH_SYNC_COUNTERS_H
 #define AUTOSYNCH_SYNC_COUNTERS_H
+
+#include "support/ThreadCounters.h"
 
 #include <atomic>
 #include <cstdint>
@@ -44,8 +51,7 @@ struct CountersSnapshot {
   uint64_t contextSwitchEvents() const { return Awaits + Wakeups; }
 };
 
-/// Process-wide event counters, updated with relaxed atomics (cheap enough
-/// to keep always on).
+/// Process-wide event counters (see the file comment).
 class Counters {
 public:
   static Counters &global() {
@@ -53,10 +59,10 @@ public:
     return Instance;
   }
 
-  void onAwait() { Awaits.fetch_add(1, std::memory_order_relaxed); }
-  void onSignal() { Signals.fetch_add(1, std::memory_order_relaxed); }
-  void onSignalAll() { SignalAlls.fetch_add(1, std::memory_order_relaxed); }
-  void onWakeup() { Wakeups.fetch_add(1, std::memory_order_relaxed); }
+  void onAwait() { Events::bump(AwaitsIdx); }
+  void onSignal() { Events::bump(SignalsIdx); }
+  void onSignalAll() { Events::bump(SignalAllsIdx); }
+  void onWakeup() { Events::bump(WakeupsIdx); }
   void addAwaitNs(uint64_t Ns) {
     AwaitNs.fetch_add(Ns, std::memory_order_relaxed);
   }
@@ -75,29 +81,27 @@ public:
     return TimingEnabled.load(std::memory_order_relaxed);
   }
 
+  /// Counts since the last reset(), of live and exited threads alike.
   CountersSnapshot snapshot() const {
-    return {Awaits.load(std::memory_order_relaxed),
-            Signals.load(std::memory_order_relaxed),
-            SignalAlls.load(std::memory_order_relaxed),
-            Wakeups.load(std::memory_order_relaxed),
+    Events::Totals E = Events::read();
+    return {E[AwaitsIdx],
+            E[SignalsIdx],
+            E[SignalAllsIdx],
+            E[WakeupsIdx],
             AwaitNs.load(std::memory_order_relaxed),
             LockNs.load(std::memory_order_relaxed)};
   }
 
   void reset() {
-    Awaits.store(0, std::memory_order_relaxed);
-    Signals.store(0, std::memory_order_relaxed);
-    SignalAlls.store(0, std::memory_order_relaxed);
-    Wakeups.store(0, std::memory_order_relaxed);
+    Events::reset();
     AwaitNs.store(0, std::memory_order_relaxed);
     LockNs.store(0, std::memory_order_relaxed);
   }
 
 private:
-  std::atomic<uint64_t> Awaits{0};
-  std::atomic<uint64_t> Signals{0};
-  std::atomic<uint64_t> SignalAlls{0};
-  std::atomic<uint64_t> Wakeups{0};
+  enum : size_t { AwaitsIdx, SignalsIdx, SignalAllsIdx, WakeupsIdx, NumEvents };
+  using Events = ThreadCounters<Counters, NumEvents>;
+
   std::atomic<uint64_t> AwaitNs{0};
   std::atomic<uint64_t> LockNs{0};
   std::atomic<bool> TimingEnabled{false};

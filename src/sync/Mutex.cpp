@@ -15,25 +15,6 @@
 #include <climits>
 #include <thread>
 
-// ThreadSanitizer does not see a futex as a lock: left alone it would
-// check the mutex's atomics but not lock order or ownership. The
-// annotations tell it that Mutex is a mutex, exactly as it treats an
-// intercepted pthread mutex. They compile to nothing in other builds.
-#if defined(__SANITIZE_THREAD__)
-#define AUTOSYNCH_TSAN_MUTEX 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define AUTOSYNCH_TSAN_MUTEX 1
-#endif
-#endif
-
-#ifdef AUTOSYNCH_TSAN_MUTEX
-#include <sanitizer/tsan_interface.h>
-#define TSAN_ANNOTATE(Call) Call
-#else
-#define TSAN_ANNOTATE(Call) ((void)0)
-#endif
-
 using namespace autosynch;
 using namespace autosynch::sync;
 
@@ -68,11 +49,13 @@ uint32_t sync::spuriousWakeupPeriod() {
 //===----------------------------------------------------------------------===//
 
 Mutex::Mutex() {
-  TSAN_ANNOTATE(__tsan_mutex_create(this, __tsan_mutex_not_static));
+  AUTOSYNCH_TSAN_ANNOTATE(
+      __tsan_mutex_create(this, __tsan_mutex_not_static));
 }
 
 Mutex::~Mutex() {
-  TSAN_ANNOTATE(__tsan_mutex_destroy(this, __tsan_mutex_not_static));
+  AUTOSYNCH_TSAN_ANNOTATE(
+      __tsan_mutex_destroy(this, __tsan_mutex_not_static));
 }
 
 static uint64_t nowNs() {
@@ -82,54 +65,40 @@ static uint64_t nowNs() {
           .count());
 }
 
-void Mutex::lock() {
-  Counters &G = Counters::global();
-  if (AUTOSYNCH_UNLIKELY(G.timingEnabled())) {
-    uint64_t T0 = nowNs();
-    acquire();
-    G.addLockNs(nowNs() - T0);
-    return;
-  }
+void Mutex::lockTimed() {
+  uint64_t T0 = nowNs();
   acquire();
+  Counters::global().addLockNs(nowNs() - T0);
 }
 
-void Mutex::acquire() {
-  TSAN_ANNOTATE(__tsan_mutex_pre_lock(this, 0));
-  uint32_t C = 0;
-  if (AUTOSYNCH_UNLIKELY(
-          !State.compare_exchange_strong(C, 1, std::memory_order_acquire))) {
-    // Contended path: advertise a waiter by setting state 2, then sleep
-    // until the owner hands the lock over.
-    if (C != 2)
-      C = State.exchange(2, std::memory_order_acquire);
-    while (C != 0) {
-      futexWait(State, 2);
-      C = State.exchange(2, std::memory_order_acquire);
-    }
+void Mutex::waitForLock(uint32_t C) {
+  // Advertise a waiter by setting state 2, then sleep until the owner
+  // hands the lock over.
+  if (C != 2)
+    C = State.exchange(2, std::memory_order_acquire);
+  while (C != 0) {
+    futexWait(State, 2);
+    C = State.exchange(2, std::memory_order_acquire);
   }
-  TSAN_ANNOTATE(__tsan_mutex_post_lock(this, 0, 0));
 }
 
 bool Mutex::tryLock() {
-  TSAN_ANNOTATE(__tsan_mutex_pre_lock(this, __tsan_mutex_try_lock));
+  AUTOSYNCH_TSAN_ANNOTATE(
+      __tsan_mutex_pre_lock(this, __tsan_mutex_try_lock));
   uint32_t C = 0;
   bool Locked =
       State.compare_exchange_strong(C, 1, std::memory_order_acquire);
-  TSAN_ANNOTATE(__tsan_mutex_post_lock(
+  AUTOSYNCH_TSAN_ANNOTATE(__tsan_mutex_post_lock(
       this,
       __tsan_mutex_try_lock | (Locked ? 0 : __tsan_mutex_try_lock_failed),
       0));
   return Locked;
 }
 
-void Mutex::unlock() {
-  TSAN_ANNOTATE(__tsan_mutex_pre_unlock(this, 0));
-  if (State.fetch_sub(1, std::memory_order_release) != 1) {
-    // There may be waiters (state was 2): fully release and wake one.
-    State.store(0, std::memory_order_release);
-    futexWake(State, 1);
-  }
-  TSAN_ANNOTATE(__tsan_mutex_post_unlock(this, 0));
+void Mutex::wakeWaiter() {
+  // There may be waiters (state was 2).
+  State.store(0, std::memory_order_release);
+  futexWake(State, 1);
 }
 
 std::unique_ptr<Condition> Mutex::newCondition() {
@@ -167,7 +136,9 @@ void Condition::await() {
 }
 
 bool Condition::awaitUntil(uint64_t DeadlineNs, uint64_t Epoch) {
-  Awaits.fetch_add(1, std::memory_order_relaxed);
+  // Under the mutex: a plain load and store, no locked instruction.
+  Awaits.store(Awaits.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
   Counters &G = Counters::global();
   G.onAwait();
   if (AUTOSYNCH_UNLIKELY(injectSpurious())) {

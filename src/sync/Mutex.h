@@ -36,9 +36,32 @@
 #ifndef AUTOSYNCH_SYNC_MUTEX_H
 #define AUTOSYNCH_SYNC_MUTEX_H
 
+#include "support/Compiler.h"
+#include "sync/Counters.h"
+
 #include <atomic>
 #include <cstdint>
 #include <memory>
+
+// ThreadSanitizer does not see a futex as a lock: left alone it would
+// check the mutex's atomics but not lock order or ownership. The
+// annotations tell it that Mutex is a mutex, exactly as it treats an
+// intercepted pthread mutex, on the inline paths as on the out-of-line
+// ones. They compile to nothing in other builds.
+#if defined(__SANITIZE_THREAD__)
+#define AUTOSYNCH_TSAN_MUTEX 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define AUTOSYNCH_TSAN_MUTEX 1
+#endif
+#endif
+
+#ifdef AUTOSYNCH_TSAN_MUTEX
+#include <sanitizer/tsan_interface.h>
+#define AUTOSYNCH_TSAN_ANNOTATE(Call) Call
+#else
+#define AUTOSYNCH_TSAN_ANNOTATE(Call) ((void)0)
+#endif
 
 namespace autosynch::sync {
 
@@ -66,7 +89,10 @@ private:
 
 class Condition;
 
-/// A non-reentrant mutual-exclusion lock with Java's Lock shape.
+/// A non-reentrant mutual-exclusion lock with Java's Lock shape. The
+/// uncontended lock and unlock are inline: one compare-and-swap and one
+/// fetch_sub. Waiting for the lock, waking a waiter, and the timed lock of
+/// the Table 1 experiment are out of line.
 class Mutex {
 public:
   Mutex();
@@ -74,8 +100,20 @@ public:
   Mutex(const Mutex &) = delete;
   Mutex &operator=(const Mutex &) = delete;
 
-  void lock();
-  void unlock();
+  void lock() {
+    if (AUTOSYNCH_UNLIKELY(Counters::global().timingEnabled()))
+      lockTimed();
+    else
+      acquire();
+  }
+
+  void unlock() {
+    AUTOSYNCH_TSAN_ANNOTATE(__tsan_mutex_pre_unlock(this, 0));
+    if (AUTOSYNCH_UNLIKELY(State.fetch_sub(1, std::memory_order_release) !=
+                           1))
+      wakeWaiter();
+    AUTOSYNCH_TSAN_ANNOTATE(__tsan_mutex_post_unlock(this, 0));
+  }
 
   /// Attempts to acquire without blocking. Returns true on success.
   bool tryLock();
@@ -88,7 +126,21 @@ private:
   friend class Condition;
 
   /// lock() without the lock-wait timing; Condition re-acquires with it.
-  void acquire();
+  void acquire() {
+    AUTOSYNCH_TSAN_ANNOTATE(__tsan_mutex_pre_lock(this, 0));
+    uint32_t C = 0;
+    if (AUTOSYNCH_UNLIKELY(
+            !State.compare_exchange_strong(C, 1, std::memory_order_acquire)))
+      waitForLock(C);
+    AUTOSYNCH_TSAN_ANNOTATE(__tsan_mutex_post_lock(this, 0, 0));
+  }
+
+  /// acquire() timed into Counters::addLockNs.
+  void lockTimed();
+  /// The contended acquire: \p C is the state the failed swap read.
+  void waitForLock(uint32_t C);
+  /// The contended unlock: releases fully and wakes one waiter.
+  void wakeWaiter();
 
   /// 0 = unlocked, 1 = locked with no waiters, 2 = locked with possible
   /// waiters.
@@ -163,8 +215,9 @@ private:
   std::atomic<uint32_t> Seq{0};
   /// Threads between announcing a park and returning from the kernel.
   std::atomic<uint32_t> Parked{0};
-  // Relaxed atomics: signal()/signalAll() may run outside the mutex.
+  /// Bumped only under the mutex, with a relaxed load and store.
   std::atomic<uint64_t> Awaits{0};
+  // Relaxed atomic adds: signal()/signalAll() may run outside the mutex.
   std::atomic<uint64_t> Signals{0};
   std::atomic<uint64_t> SignalAlls{0};
 };

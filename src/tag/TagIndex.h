@@ -46,9 +46,11 @@ namespace autosynch {
 /// spare buckets (hash node and vector capacity) that the next adds
 /// needing a new bucket re-key, so a record that deactivates and another
 /// that activates under a fresh key allocate nothing. A few spares, not
-/// one per key seen: keys may never repeat. An emptied per-expression
-/// group is recycled the same way (one spare), and each threshold heap
-/// keeps its own spare node (ThresholdHeap::remove).
+/// one per key seen: keys may never repeat. Emptied per-expression
+/// groups are recycled the same way, a few spares with their heaps and
+/// tables, so that two expressions whose groups empty and refill in turn
+/// allocate nothing either. Each threshold heap keeps its own spare node
+/// (ThresholdHeap::remove).
 template <typename RecordT> class TagIndex {
 public:
   static constexpr size_t InvalidPos = static_cast<size_t>(-1);
@@ -118,8 +120,8 @@ public:
       heapFor(P, T).remove(T.Key, isStrictOp(T.Op), R);
     }
     if (P.Eq.empty() && P.LowerBound.empty() && P.UpperBound.empty()) {
-      if (SpareExpr.empty())
-        SpareExpr = Exprs.extract(ExprIt);
+      if (NumSpareExprs != MaxSpareExprs)
+        SpareExprs[NumSpareExprs++] = Exprs.extract(ExprIt);
       else
         Exprs.erase(ExprIt);
     }
@@ -228,23 +230,26 @@ private:
   PerExpr &byExpr(ExprRef SharedExpr) {
     if (auto It = Exprs.find(SharedExpr); It != Exprs.end())
       return It->second;
-    if (SpareExpr.empty())
+    if (NumSpareExprs == 0)
       return Exprs[SharedExpr];
-    SpareExpr.key() = SharedExpr;
-    SpareExpr.mapped().Cover.clear(); // The group's cover dies with it.
-    return Exprs.insert(std::move(SpareExpr)).position->second;
+    auto &Spare = SpareExprs[--NumSpareExprs];
+    Spare.key() = SharedExpr;
+    Spare.mapped().Cover.clear(); // The group's cover dies with it.
+    return Exprs.insert(std::move(Spare)).position->second;
   }
 
   using ExprMap = std::unordered_map<ExprRef, PerExpr>;
 
   ExprMap Exprs;
   std::vector<RecordT *> NoneList;
-  /// Recycled equivalence buckets and per-expression group (see class
+  /// Recycled equivalence buckets and per-expression groups (see class
   /// comment).
   static constexpr size_t MaxSpareBuckets = 4;
   typename EqMap::node_type SpareBuckets[MaxSpareBuckets];
   size_t NumSpareBuckets = 0;
-  typename ExprMap::node_type SpareExpr;
+  static constexpr size_t MaxSpareExprs = 4;
+  typename ExprMap::node_type SpareExprs[MaxSpareExprs];
+  size_t NumSpareExprs = 0;
 };
 
 } // namespace autosynch

@@ -443,12 +443,12 @@ void workload::writeReportJson(const ScenarioReport &R, JsonWriter &J) {
       .member("cold_binds", R.Plan.ColdBinds)
       .member("legacy_waits", R.Plan.LegacyWaits)
       .endObject();
+  // Schema v9 dropped the always-0 "stamp_short_circuits".
   J.key("relay");
   J.beginObject()
       .member("calls", R.Monitor.RelayCalls)
       .member("dirty_skips", R.Monitor.RelayDirtySkips)
       .member("filtered_exprs", R.Monitor.Search.FilteredExprs)
-      .member("stamp_short_circuits", R.Monitor.StampShortCircuits)
       .endObject();
   // Schema v4: the deadline-runtime block. op_timeout_ns echoes the
   // per-op bound in force (0 = untimed run), op_timeouts totals the

@@ -101,8 +101,7 @@ struct ScenarioReport {
   /// binds vs. keyless registrations).
   PlanCountersSnapshot Plan;
   /// The stages' Monitor blocks summed: every relay, skip, filtered
-  /// index entry, stamp short-circuit and timed wait of the run's
-  /// monitors.
+  /// index entry and timed wait of the run's monitors.
   ManagerStats Monitor;
   /// The per-op deadline in force (RunConfig::OpTimeoutNs) and the total
   /// op expiries across stages.

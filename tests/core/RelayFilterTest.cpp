@@ -9,9 +9,9 @@
 //
 //  * behavioral unit tests — read-only exits skip the relay outright,
 //    unrelated-variable writes are filtered by read-set intersection,
-//    version stamps short-circuit re-evaluation across relay chains,
-//    stamps stay correct across inactive-cache revival and eviction, and
-//    saturated dirty/read sets never drop a wakeup;
+//    relay chains re-check exactly the records the dirty set still
+//    suspects, records stay correct across inactive-cache revival and
+//    eviction, and saturated dirty/read sets never drop a wakeup;
 //  * read-set extraction — the EDSL and parsed front ends produce plans
 //    with identical shared read sets, matching the registered record's;
 //  * a differential property suite — every problem monitor driven with an
@@ -25,6 +25,7 @@
 #include "TestUtil.h"
 #include "core/Monitor.h"
 #include "core/RelayRegistry.h"
+#include "expr/Eval.h"
 #include "expr/VarSet.h"
 #include "parse/PredicateParser.h"
 #include "problems/BoundedBuffer.h"
@@ -167,29 +168,39 @@ TEST_P(RelayFilterPolicyTest, IdempotentWritesKeepTheFastExit) {
 TEST(RelayFilterTest, StampShortCircuitsAcrossRelayChains) {
   // LinearScan makes the scan order deterministic: W1 (level >= 10) parks
   // first, W2 (gate == 1) second. One region writes both variables: the
-  // exit scan evaluates W1 false (stamping it) and signals W2. W2 resumes,
-  // writes gate back, and its exit relay — with `level` still in the
-  // accumulated dirty set but W1's version unchanged — must answer W1's
-  // check from the stamp without re-running the bytecode.
+  // exit scan checks W1 (false) and W2 (true) and signals W2, keeping
+  // `level` and `gate` in the dirty set because it stopped early. W2
+  // resumes and leaves its region: that exit relay still sees `level`
+  // dirty, so it re-checks W1 — exactly one predicate check — finds it
+  // false and clears the set. W2's next region writes only `gate`, which
+  // W1 does not read: filtered, no check. No wakeup may be lost: W1 still
+  // completes once `level` reaches 10.
   Registry M(relayConfig(SignalPolicy::LinearScan));
   std::thread W1([&] { M.waitLevel(10); });
   awaitWaiters(M, 1);
-  std::atomic<bool> W2Done{false};
+  uint64_t ChecksAtW2Exit = 0;
   std::thread W2([&] {
     M.waitGate();
+    ChecksAtW2Exit = M.stats().Search.PredicateChecks;
     M.setGate(0);
-    W2Done = true;
   });
   awaitWaiters(M, 2);
 
   M.conditionManager().resetStats();
+  uint64_t Evals0 = predicateEvalCount();
   M.setLevelAndGate(1, 1); // W1 still false; W2 becomes true.
   W2.join();
-  EXPECT_TRUE(W2Done.load());
 
-  const ManagerStats &S = M.conditionManager().stats();
-  EXPECT_GE(S.StampShortCircuits, 1u)
-      << "W2's exit relay re-checked W1 without a stamp hit";
+  // Every check runs the record's program: the two of the writer's scan,
+  // W2's own re-check on waking, and W2's exit relay's check of W1.
+  EXPECT_EQ(predicateEvalCount() - Evals0, 4u);
+  EXPECT_EQ(ChecksAtW2Exit, 3u)
+      << "the writer's exit scan checks W1 and W2; W2's exit relay must "
+         "re-check W1, and only W1";
+  ManagerStats S = M.stats();
+  EXPECT_EQ(S.Search.PredicateChecks, 3u)
+      << "a write W1 does not read must not re-check it";
+  EXPECT_EQ(S.SignalsSent, 1u);
 
   M.setLevel(10);
   W1.join();
@@ -199,10 +210,10 @@ TEST(RelayFilterTest, StampShortCircuitsAcrossRelayChains) {
 
 TEST(RelayFilterTest, StampsStayCorrectAcrossRevivalAndEviction) {
   // Revival: a record parked in the inactive cache and revived by a new
-  // waiter must be re-evaluated (activation drops the stamp), and the
-  // waiter must still complete. Eviction: with a zero cache limit the
-  // record is destroyed between waits; the re-registered record starts
-  // stampless. Either path losing a wakeup would hang this test.
+  // waiter must be re-evaluated, and the waiter must still complete.
+  // Eviction: with a zero cache limit the record is recycled between
+  // waits and registered afresh. Either path losing a wakeup would hang
+  // this test.
   for (size_t CacheLimit : {size_t{64}, size_t{0}}) {
     MonitorConfig Cfg = relayConfig(SignalPolicy::Tagged);
     Cfg.InactiveCacheLimit = CacheLimit;
@@ -211,7 +222,7 @@ TEST(RelayFilterTest, StampsStayCorrectAcrossRevivalAndEviction) {
     for (int Round = 0; Round != 4; ++Round) {
       std::thread W([&] { M.waitGate(); });
       awaitWaiters(M, 1);
-      // Unrelated traffic first (stamps/filters engage), then the wake.
+      // Unrelated traffic first (filters engage), then the wake.
       M.bump();
       M.setLevel(Round + 1);
       M.setGate(1);

@@ -81,6 +81,13 @@ public:
     return conditionManager().numWaiters();
   }
 
+  /// The condition manager's counts, read under the monitor lock. The
+  /// region's own exit relay comes after the read.
+  ManagerStats stats() {
+    Region R(*this);
+    return conditionManager().stats();
+  }
+
   using Monitor::conditionManager;
 
 private:

@@ -186,7 +186,7 @@ TEST_P(ScenarioEngineTest, RunTotalsSumTheStageMonitors) {
     EXPECT_EQ(R.Monitor.RelayCalls, Sum.RelayCalls);
     EXPECT_EQ(R.Monitor.RelayDirtySkips, Sum.RelayDirtySkips);
     EXPECT_EQ(R.Monitor.Search.FilteredExprs, Sum.Search.FilteredExprs);
-    EXPECT_EQ(R.Monitor.StampShortCircuits, Sum.StampShortCircuits);
+    EXPECT_EQ(R.Monitor.RelaySkips, Sum.RelaySkips);
     EXPECT_EQ(R.Monitor.TimedWaits, Sum.TimedWaits);
     EXPECT_EQ(R.Monitor.Timeouts, Sum.Timeouts);
     EXPECT_EQ(R.Monitor.Cancels, Sum.Cancels);

@@ -66,8 +66,7 @@ int usage(const char *Argv0, int Code) {
       "                         waits from the plan cache\n"
       "  --assert-relay-skips   fail unless every relay-policy run\n"
       "                         exercised the dirty-set machinery\n"
-      "                         (skipped relays, filtered entries, or\n"
-      "                         stamp short-circuits)\n",
+      "                         (skipped relays or filtered entries)\n",
       Argv0);
   return Code;
 }
@@ -342,21 +341,18 @@ int main(int Argc, char **Argv) {
 
   if (AssertRelaySkips) {
     // Every relay-policy run must show the dirty-set machinery doing
-    // real work: relays skipped outright, index entries pruned by
-    // read-set intersection, or predicate checks answered by the version
-    // stamp. Broadcast/Explicit runs have no skip path by design and are
-    // not checked.
+    // real work: relays skipped outright, or index entries pruned by
+    // read-set intersection. Broadcast/Explicit runs have no skip path by
+    // design and are not checked.
     for (const ScenarioReport &R : Reports) {
       if (R.Mech != Mechanism::AutoSynch && R.Mech != Mechanism::AutoSynchT)
         continue;
-      uint64_t Exercised = R.Monitor.RelayDirtySkips +
-                           R.Monitor.Search.FilteredExprs +
-                           R.Monitor.StampShortCircuits;
+      uint64_t Exercised =
+          R.Monitor.RelayDirtySkips + R.Monitor.Search.FilteredExprs;
       if (Exercised == 0) {
         std::fprintf(stderr,
                      "%s: relay-skip assertion failed for %s: "
-                     "calls=%llu dirty_skips=0 filtered_exprs=0 "
-                     "stamp_short_circuits=0\n",
+                     "calls=%llu dirty_skips=0 filtered_exprs=0\n",
                      Argv[0], mechanismName(R.Mech),
                      static_cast<unsigned long long>(R.Monitor.RelayCalls));
         return 1;
@@ -384,7 +380,7 @@ int main(int Argc, char **Argv) {
   JsonWriter J(*OS);
   J.beginObject()
       .member("tool", "autosynch-workbench")
-      .member("version", 8) // Bumped on every schema change (README).
+      .member("version", 9) // Bumped on every schema change (README).
       .member("scenario", Scenario->Name)
       .member("description", Scenario->Description)
       .member("tokens_per_source", Base.TokensPerSource)
